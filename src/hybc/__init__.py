@@ -7,22 +7,8 @@ measures every pipeline on UTF-8 text corpora and ranks them by a weighted
 min-max-normalized efficiency score.
 """
 
-from .codecs import (
-    CodecConfig,
-    CodecId,
-    codec_params,
-    compress_one,
-    decompress_one,
-    library_versions,
-)
-from .corpus import (
-    DatasetDescriptor,
-    SizeClass,
-    classify_size,
-    devanagari_fraction,
-    generate_synthetic,
-    load_dataset,
-)
+from .codecs import CodecId, codec_params, compress_one, decompress_one, library_versions
+from .corpus import SizeClass, generate_synthetic
 from .errors import (
     BadMagic,
     CodecFailure,
@@ -37,61 +23,36 @@ from .errors import (
     TruncatedContainer,
     UnsupportedVersion,
 )
-from .metrics import (
-    DsBasis,
-    Measurement,
-    compression_ratio,
-    compression_speed,
-    decompression_speed,
-    measure,
-)
+from .metrics import DsBasis, Measurement, measure
 from .pipeline import (
-    CONTAINER_VERSION,
-    FILE_EXTENSION,
     HEADER_LEN,
-    MAGIC,
     ContainerHeader,
     PipelineSpec,
     compress_pipeline,
     decompress_pipeline,
-    enumerate_pipelines,
-    parse_header,
     pipeline_from_name,
     serialize_header,
 )
-from .scoring import (
-    DEFAULT_WEIGHTS,
-    EfficiencyRow,
-    Weights,
-    balance_table,
-    component_frequency,
-    efficiency_score,
-    minmax_normalize,
-    rank_pipelines,
-)
+from .scoring import EfficiencyRow, Weights, rank_pipelines
 
 __version__ = "0.1.0"
 
+# What the README and the benchmark import, every exception, and the types in
+# their signatures; everything else is imported from its submodule.
 __all__ = [
     "BadMagic",
-    "CodecConfig",
     "CodecFailure",
     "CodecId",
     "ContainerError",
     "ContainerHeader",
     "CorruptStream",
-    "CONTAINER_VERSION",
-    "DatasetDescriptor",
-    "DEFAULT_WEIGHTS",
     "DsBasis",
     "EfficiencyRow",
-    "FILE_EXTENSION",
     "HEADER_LEN",
     "HybcError",
     "IntegrityMismatch",
     "InvalidCodecByte",
     "InvalidUtf8",
-    "MAGIC",
     "Measurement",
     "MixedCohort",
     "PipelineSpec",
@@ -100,26 +61,14 @@ __all__ = [
     "TruncatedContainer",
     "UnsupportedVersion",
     "Weights",
-    "balance_table",
-    "classify_size",
     "codec_params",
-    "component_frequency",
     "compress_one",
     "compress_pipeline",
-    "compression_ratio",
-    "compression_speed",
     "decompress_one",
     "decompress_pipeline",
-    "decompression_speed",
-    "devanagari_fraction",
-    "efficiency_score",
-    "enumerate_pipelines",
     "generate_synthetic",
     "library_versions",
-    "load_dataset",
     "measure",
-    "minmax_normalize",
-    "parse_header",
     "pipeline_from_name",
     "rank_pipelines",
     "serialize_header",

@@ -23,14 +23,15 @@ from .metrics import (
     decompression_speed,
     measure,
 )
-from .pipeline import PipelineSpec, enumerate_pipelines
+from .pipeline import PipelineSpec, enumerate_pipelines, pipeline_from_name
 from .report import (
     FORMATS,
-    emit_balance,
-    emit_frequency,
-    emit_measurements,
-    emit_report,
+    Table,
+    balance_report,
     environment_metadata,
+    frequency_report,
+    ranking_report,
+    render,
 )
 from .scoring import (
     DEFAULT_WEIGHTS,
@@ -44,6 +45,10 @@ from .scoring import (
 FREQUENCY_TOP_K = 10
 
 _DEFAULT_HEAD_TO_HEAD = PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)
+
+# Dataset names become parts of report file names, so they are restricted to
+# these characters.
+_DATASET_CHARS = "A-Za-z0-9._-"
 
 
 @dataclass
@@ -95,7 +100,7 @@ class BenchResult:
 def _dataset_names(paths: Sequence[Path]) -> list[str]:
     names: list[str] = []
     for path in paths:
-        base = re.sub(r"[^A-Za-z0-9._-]", "_", Path(path).stem) or "dataset"
+        base = re.sub(f"[^{_DATASET_CHARS}]", "_", Path(path).stem) or "dataset"
         name = base
         i = 2
         while name in names:
@@ -113,142 +118,138 @@ def run_bench(
     config.validate()
     specs = list(config.pipelines) if config.pipelines else enumerate_pipelines()
     result = BenchResult()
-    names = _dataset_names(config.inputs)
-    for name, path in zip(names, config.inputs):
+
+    def add(row: BenchRow) -> None:
+        result.rows.append(row)
+        if progress:
+            progress(row)
+
+    for name, path in zip(_dataset_names(config.inputs), config.inputs):
         try:
             descriptor, data = load_dataset(path)
         except (OSError, HybcError) as exc:
             for spec in specs:
-                row = BenchRow(dataset=name, pipeline=spec, error=str(exc))
-                result.rows.append(row)
-                if progress:
-                    progress(row)
+                add(BenchRow(dataset=name, pipeline=spec, error=str(exc)))
             continue
-        ok_measurements = []
         for spec in specs:
+            row = BenchRow(dataset=name, pipeline=spec, descriptor=descriptor)
             try:
-                m = measure(spec, data, config.repetitions, dataset=name)
-                row = BenchRow(
-                    dataset=name, pipeline=spec, descriptor=descriptor, measurement=m
-                )
-                ok_measurements.append(m)
+                row.measurement = measure(spec, data, config.repetitions, dataset=name)
             except (HybcError, ValueError) as exc:
-                row = BenchRow(
-                    dataset=name, pipeline=spec, descriptor=descriptor, error=str(exc)
-                )
-            result.rows.append(row)
-            if progress:
-                progress(row)
-        if len(ok_measurements) >= 2:
-            result.rankings[name] = rank_pipelines(
-                ok_measurements, config.weights, config.ds_basis
-            )
+                row.error = str(exc)
+            add(row)
+    ok = [row.measurement for row in result.rows if row.measurement is not None]
+    result.rankings = rank_by_dataset(ok, config.weights, config.ds_basis)
     return result
+
+
+def rank_by_dataset(
+    measurements: Sequence[Measurement], weights: Weights, ds_basis: DsBasis
+) -> dict[str, list[EfficiencyRow]]:
+    """Rank each dataset's cohort; a dataset with fewer than 2 rows is skipped."""
+    by_dataset: dict[str, list[Measurement]] = {}
+    for m in measurements:
+        by_dataset.setdefault(m.dataset, []).append(m)
+    return {name: rank_pipelines(rows, weights, ds_basis)
+            for name, rows in by_dataset.items() if len(rows) >= 2}
+
+
+# ---------------------------------------------------------------------------
+# The measurements file: one record per input x pipeline cell, errors kept
+
+MEASUREMENT_COLUMNS = [
+    "dataset", "size_class", "pipeline", "status",
+    "original_bytes", "compressed_bytes",
+    "compress_seconds", "decompress_seconds", "repetitions",
+    "cr", "cs_mb_s", "ds_mb_s", "error",
+]
+
+
+def measurements_report(rows: Sequence[BenchRow], ds_basis: DsBasis) -> Table:
+    """Every bench row, failed cells blank but kept; CSV and JSON only."""
+    records = []
+    for row in rows:
+        m = row.measurement
+        measured = [""] * 8 if m is None else [
+            m.original_bytes, m.compressed_bytes, m.compress_seconds, m.decompress_seconds,
+            m.repetitions, compression_ratio(m), compression_speed(m),
+            decompression_speed(m, ds_basis),
+        ]
+        records.append([row.dataset, row.descriptor.size_class.label if row.descriptor else "",
+                        row.pipeline.display_name, "ok" if row.error is None else "error",
+                        *measured, row.error or ""])
+    return Table(MEASUREMENT_COLUMNS, records)
+
+
+def read_measurements(doc: dict) -> list[Measurement]:
+    """The successful rows of a measurements JSON document. The document comes
+    from outside, so a malformed row raises ValueError, KeyError or TypeError."""
+    measurements = []
+    for row in doc["rows"]:
+        if not isinstance(row, dict):
+            raise TypeError(f"row {row!r} is not an object")
+        if row.get("status") != "ok":
+            continue
+        if not isinstance(row["pipeline"], str):
+            raise TypeError(f"pipeline {row['pipeline']!r} is not a string")
+        if not re.fullmatch(f"[{_DATASET_CHARS}]+", row["dataset"]):
+            raise ValueError(f"dataset name {row['dataset']!r} is not made of {_DATASET_CHARS}")
+        measurements.append(Measurement(
+            pipeline=pipeline_from_name(row["pipeline"]),
+            dataset=row["dataset"],
+            original_bytes=int(row["original_bytes"]),
+            compressed_bytes=int(row["compressed_bytes"]),
+            compress_seconds=float(row["compress_seconds"]),
+            decompress_seconds=float(row["decompress_seconds"]),
+            repetitions=int(row["repetitions"]),
+        ))
+    return measurements
 
 
 # ---------------------------------------------------------------------------
 # Report writing
 
-def _measurement_record(row: BenchRow, ds_basis: DsBasis) -> dict:
-    record: dict = {
-        "dataset": row.dataset,
-        "size_class": row.descriptor.size_class.label if row.descriptor else "",
-        "pipeline": row.pipeline.display_name,
-        "status": "ok" if row.error is None else "error",
-        "original_bytes": "",
-        "compressed_bytes": "",
-        "compress_seconds": "",
-        "decompress_seconds": "",
-        "repetitions": "",
-        "cr": "",
-        "cs_mb_s": "",
-        "ds_mb_s": "",
-        "error": row.error or "",
-    }
-    m = row.measurement
-    if m is not None:
-        record.update(
-            original_bytes=m.original_bytes,
-            compressed_bytes=m.compressed_bytes,
-            compress_seconds=m.compress_seconds,
-            decompress_seconds=m.decompress_seconds,
-            repetitions=m.repetitions,
-            cr=compression_ratio(m),
-            cs_mb_s=compression_speed(m),
-            ds_mb_s=decompression_speed(m, ds_basis),
-        )
-    return record
-
-
 def write_reports(result: BenchResult, config: BenchConfig) -> list[Path]:
     """Write measurement tables plus all analysis reports; returns the paths."""
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     metadata = environment_metadata(
-        repetitions=config.repetitions,
-        ds_basis=config.ds_basis,
-        weights=config.weights,
+        repetitions=config.repetitions, ds_basis=config.ds_basis, weights=config.weights
     )
-    written: list[Path] = []
-    records = [_measurement_record(row, config.ds_basis) for row in result.rows]
-    if "csv" in config.formats:
-        path = outdir / "measurements.csv"
-        path.write_bytes(emit_measurements(records, "csv"))
-        written.append(path)
-    if "json" in config.formats:
-        path = outdir / "measurements.json"
-        path.write_bytes(emit_measurements(records, "json", metadata=metadata))
-        written.append(path)
-    written.extend(
-        write_analysis_reports(result.rankings, config, metadata, outdir=outdir)
+    written = _write(outdir, "measurements", measurements_report(result.rows, config.ds_basis),
+                     [fmt for fmt in ("csv", "json") if fmt in config.formats], metadata)
+    return written + write_analysis_reports(
+        result.rankings, outdir, config.formats, config.weights, config.head_to_head, metadata
     )
-    return written
 
 
 def write_analysis_reports(
-    rankings: dict[str, list[EfficiencyRow]],
-    config: BenchConfig,
-    metadata: dict,
-    *,
-    outdir: Path | None = None,
+    rankings: dict[str, list[EfficiencyRow]], outdir: Path, formats: Sequence[str],
+    weights: Weights, head_to_head: PipelineSpec | None, metadata: dict,
 ) -> list[Path]:
     """Ranking, head-to-head, balance, and frequency files per requested format."""
-    outdir = Path(outdir if outdir is not None else config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def emit(name: str, payload: bytes) -> None:
-        path = outdir / name
-        path.write_bytes(payload)
-        written.append(path)
-
+    tables: list[tuple[str, Table]] = []
     for dataset, rows in rankings.items():
-        for fmt in config.formats:
-            emit(
-                f"ranking_{dataset}.{fmt}",
-                emit_report(rows, fmt, weights=config.weights, metadata=metadata),
-            )
-        duel = _head_to_head_rows(rows, config.head_to_head)
+        tables.append((f"ranking_{dataset}", ranking_report(rows, weights)))
+        duel = _head_to_head_rows(rows, head_to_head)
         if duel:
-            for fmt in config.formats:
-                emit(
-                    f"head_to_head_{dataset}.{fmt}",
-                    emit_report(duel, fmt, weights=config.weights, metadata=metadata),
-                )
-        pairs = balance_table(rows)
-        for fmt in config.formats:
-            emit(f"balance_{dataset}.{fmt}", emit_balance(pairs, fmt, metadata=metadata))
-
+            tables.append((f"head_to_head_{dataset}", ranking_report(duel, weights)))
+        tables.append((f"balance_{dataset}", balance_report(balance_table(rows))))
     if rankings:
         all_rows = [row for rows in rankings.values() for row in rows]
         counts = component_frequency(all_rows, k=FREQUENCY_TOP_K)
         total = sum(min(FREQUENCY_TOP_K, len(rows)) for rows in rankings.values())
-        for fmt in config.formats:
-            emit(
-                f"frequency.{fmt}",
-                emit_frequency(counts, fmt, total_rows=total, metadata=metadata),
-            )
-    return written
+        tables.append(("frequency", frequency_report(counts, total)))
+    return [path for stem, table in tables
+            for path in _write(outdir, stem, table, formats, metadata)]
+
+
+def _write(outdir: Path, stem: str, table: Table, formats: Sequence[str],
+           metadata: dict) -> list[Path]:
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = [outdir / f"{stem}.{fmt}" for fmt in formats]
+    for path, fmt in zip(paths, formats):
+        path.write_bytes(render(table, fmt, metadata=metadata))
+    return paths
 
 
 def _head_to_head_rows(

@@ -11,9 +11,17 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .bench import BenchConfig, BenchRow, run_bench, write_analysis_reports, write_reports
+from .bench import (
+    BenchConfig,
+    BenchRow,
+    rank_by_dataset,
+    read_measurements,
+    run_bench,
+    write_analysis_reports,
+    write_reports,
+)
 from .errors import HybcError
-from .metrics import DsBasis, Measurement, compression_ratio
+from .metrics import DsBasis, compression_ratio
 from .pipeline import (
     FILE_EXTENSION,
     PipelineSpec,
@@ -22,7 +30,7 @@ from .pipeline import (
     pipeline_from_name,
 )
 from .report import FORMATS, environment_metadata
-from .scoring import Weights, rank_pipelines
+from .scoring import Weights
 
 
 def _parse_pipeline(name: str) -> PipelineSpec:
@@ -123,24 +131,39 @@ def _echo_row(row: BenchRow) -> None:
         )
 
 
+def _parsed(parse):
+    return lambda ctx, param, value: parse(value)
+
+
+def _report_options(command):
+    """The options shared by `bench` and `report`, passed in parsed form."""
+    options = [
+        click.option("--weights", callback=_parsed(_parse_weights), default="0.4,0.3,0.3",
+                     show_default=True, help="Efficiency weights as cr,cs,ds (must sum to 1)."),
+        click.option("--ds-basis", type=click.Choice([b.value for b in DsBasis]),
+                     callback=_parsed(DsBasis), default=DsBasis.COMPRESSED.value,
+                     show_default=True, help="Size basis for decompression speed."),
+        click.option("--out", "out_dir", default="hybc-reports", show_default=True,
+                     help="Directory for report files."),
+        click.option("--format", "formats", callback=_parsed(_parse_formats),
+                     default="csv,json,md,svg", show_default=True,
+                     help="Report formats to write."),
+        click.option("--head-to-head", callback=_parsed(_parse_pipeline),
+                     default="Zstd+LZ4HC", show_default=True,
+                     help="Pipeline compared against the five standalone codecs."),
+    ]
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
 @main.command()
 @click.argument("inputs", metavar="INPUTS...", nargs=-1, required=True)
 @click.option("--pipelines", default="all", show_default=True,
               help='Comma-separated chains to run, or "all" for the full 25.')
 @click.option("--reps", default=5, show_default=True, help="Timed repetitions per phase.")
-@click.option("--weights", "weights_text", default="0.4,0.3,0.3", show_default=True,
-              help="Efficiency weights as cr,cs,ds (must sum to 1).")
-@click.option("--ds-basis", type=click.Choice([b.value for b in DsBasis]),
-              default=DsBasis.COMPRESSED.value, show_default=True,
-              help="Size basis for decompression speed.")
-@click.option("--out", "out_dir", default="hybc-reports", show_default=True,
-              help="Directory for report files.")
-@click.option("--format", "formats_text", default="csv,json,md,svg", show_default=True,
-              help="Report formats to write.")
-@click.option("--head-to-head", default="Zstd+LZ4HC", show_default=True,
-              help="Pipeline compared against the five standalone codecs.")
-def bench(inputs, pipelines, reps, weights_text, ds_basis, out_dir, formats_text,
-          head_to_head) -> None:
+@_report_options
+def bench(inputs, pipelines, reps, weights, ds_basis, out_dir, formats, head_to_head) -> None:
     """Benchmark every input x pipeline cell and write ranked reports."""
     specs = None
     if pipelines.strip().lower() != "all":
@@ -151,19 +174,26 @@ def bench(inputs, pipelines, reps, weights_text, ds_basis, out_dir, formats_text
         inputs=[Path(p) for p in inputs],
         pipelines=specs,
         repetitions=reps,
-        weights=_parse_weights(weights_text),
-        ds_basis=DsBasis(ds_basis),
+        weights=weights,
+        ds_basis=ds_basis,
         output_dir=Path(out_dir),
-        formats=_parse_formats(formats_text),
-        head_to_head=_parse_pipeline(head_to_head),
+        formats=formats,
+        head_to_head=head_to_head,
     )
     try:
         config.validate()
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(f"cannot create {out_dir}: {exc}") from exc
     click.echo(f"benchmarking {len(inputs)} input(s), reps={reps}")
     result = run_bench(config, progress=_echo_row)
-    written = write_reports(result, config)
+    try:
+        written = write_reports(result, config)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write reports: {exc}") from exc
     click.echo(f"wrote {len(written)} report file(s) to {config.output_dir}")
     failed = result.failed_rows
     if failed:
@@ -172,68 +202,28 @@ def bench(inputs, pipelines, reps, weights_text, ds_basis, out_dir, formats_text
 
 @main.command()
 @click.argument("measurements_file", metavar="MEASUREMENTS_JSON")
-@click.option("--weights", "weights_text", default="0.4,0.3,0.3", show_default=True,
-              help="Efficiency weights as cr,cs,ds (must sum to 1).")
-@click.option("--ds-basis", type=click.Choice([b.value for b in DsBasis]),
-              default=DsBasis.COMPRESSED.value, show_default=True)
-@click.option("--out", "out_dir", default="hybc-reports", show_default=True)
-@click.option("--format", "formats_text", default="csv,json,md,svg", show_default=True)
-@click.option("--head-to-head", default="Zstd+LZ4HC", show_default=True)
-def report(measurements_file, weights_text, ds_basis, out_dir, formats_text,
-           head_to_head) -> None:
+@_report_options
+def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head) -> None:
     """Re-rank saved measurements and re-emit analysis reports, optionally
     with different weights or speed basis, without re-benchmarking."""
-    weights = _parse_weights(weights_text)
-    basis = DsBasis(ds_basis)
-    formats = _parse_formats(formats_text)
     raw = _read_bytes(measurements_file)
     try:
-        doc = json.loads(raw)
-        measurements = _measurements_from_json(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+        measurements = read_measurements(json.loads(raw))
+        rankings = rank_by_dataset(measurements, weights, ds_basis)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.ClickException(f"bad measurements file: {exc}") from exc
     if not measurements:
         raise click.ClickException("measurements file holds no successful rows")
-    by_dataset: dict[str, list[Measurement]] = {}
-    for m in measurements:
-        by_dataset.setdefault(m.dataset, []).append(m)
-    rankings = {
-        name: rank_pipelines(rows, weights, basis)
-        for name, rows in by_dataset.items()
-        if len(rows) >= 2
-    }
     if not rankings:
         raise click.ClickException("no dataset has the 2+ rows needed for ranking")
-    config = BenchConfig(
-        inputs=[Path(measurements_file)],
-        weights=weights,
-        ds_basis=basis,
-        output_dir=Path(out_dir),
-        formats=formats,
-        head_to_head=_parse_pipeline(head_to_head),
-    )
-    metadata = environment_metadata(ds_basis=basis, weights=weights)
-    written = write_analysis_reports(rankings, config, metadata)
-    click.echo(f"wrote {len(written)} report file(s) to {out_dir}")
-
-
-def _measurements_from_json(doc: dict) -> list[Measurement]:
-    measurements = []
-    for row in doc["rows"]:
-        if row.get("status") != "ok":
-            continue
-        measurements.append(
-            Measurement(
-                pipeline=pipeline_from_name(row["pipeline"]),
-                dataset=row["dataset"],
-                original_bytes=int(row["original_bytes"]),
-                compressed_bytes=int(row["compressed_bytes"]),
-                compress_seconds=float(row["compress_seconds"]),
-                decompress_seconds=float(row["decompress_seconds"]),
-                repetitions=int(row["repetitions"]),
-            )
+    metadata = environment_metadata(ds_basis=ds_basis, weights=weights)
+    try:
+        written = write_analysis_reports(
+            rankings, Path(out_dir), formats, weights, head_to_head, metadata
         )
-    return measurements
+    except OSError as exc:
+        raise click.ClickException(f"cannot write reports: {exc}") from exc
+    click.echo(f"wrote {len(written)} report file(s) to {out_dir}")
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ class CodecConfig:
     level: int | None = None
     window_log: int | None = None
     block_size_kb: int | None = None
-    dictionary: None = None  # no codec is ever configured with one
 
 
 _CONFIGS = {

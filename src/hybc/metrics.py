@@ -7,6 +7,7 @@ reports label whichever was used.
 from __future__ import annotations
 
 import enum
+import math
 import statistics
 import threading
 import time
@@ -50,8 +51,9 @@ class Measurement:
             raise ValueError("original_bytes must be >= 0")
         if self.compressed_bytes < HEADER_LEN:
             raise ValueError(f"compressed_bytes must be >= {HEADER_LEN} (header)")
-        if self.compress_seconds <= 0 or self.decompress_seconds <= 0:
-            raise ValueError("timings must be strictly positive")
+        for seconds in (self.compress_seconds, self.decompress_seconds):
+            if not (math.isfinite(seconds) and seconds > 0):
+                raise ValueError("timings must be finite and strictly positive")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 

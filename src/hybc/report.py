@@ -12,7 +12,9 @@ import io
 import json
 import platform
 import time
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from .codecs import CodecId, library_versions
@@ -26,13 +28,6 @@ RANKING_CSV_COLUMNS = [
     "rank", "pipeline", "dataset", "size_class",
     "cr", "cs_mb_s", "ds_mb_s",
     "cr_norm", "cs_norm", "ds_norm", "efficiency",
-]
-
-MEASUREMENT_COLUMNS = [
-    "dataset", "size_class", "pipeline", "status",
-    "original_bytes", "compressed_bytes",
-    "compress_seconds", "decompress_seconds", "repetitions",
-    "cr", "cs_mb_s", "ds_mb_s", "error",
 ]
 
 _SEGMENT_COLORS = (
@@ -75,103 +70,73 @@ def environment_metadata(
     return meta
 
 
-def _csv_bytes(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return out.getvalue().encode("utf-8")
-
-
-def _json_bytes(payload: dict, metadata: Mapping | None) -> bytes:
-    doc = dict(payload)
-    if metadata is not None:
-        doc["environment"] = dict(metadata)
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _md_table(header: Sequence[str], align: Sequence[str], rows: Sequence[Sequence[str]]) -> bytes:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join(":---" if a == "l" else "---:" for a in align) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 # ---------------------------------------------------------------------------
-# Raw measurement tables (one record per input x pipeline cell, errors kept)
+# One table model, four renderers
 
-def emit_measurements(
-    records: Sequence[Mapping], fmt: str, *, metadata: Mapping | None = None
-) -> bytes:
-    """Render measurement records (dicts keyed by MEASUREMENT_COLUMNS)."""
+@dataclass(frozen=True)
+class Table:
+    """One report: raw ``rows`` in ``columns`` order for CSV and JSON, the same
+    rows rounded for Markdown, and an SVG painter. Without ``md_header`` or
+    ``svg`` the table has no such format; ``json`` overrides the default
+    ``{"rows": [...]}`` document."""
+
+    columns: Sequence[str]
+    rows: Sequence[Sequence]
+    md_header: Sequence[str] = ()
+    md_align: str = ""  # one "l" or "r" per Markdown column
+    md_rows: Sequence[Sequence[str]] = ()
+    svg: Callable[[], bytes] | None = None
+    json: Mapping | None = None
+
+
+def render(table: Table, fmt: str, *, metadata: Mapping | None = None) -> bytes:
+    """Serialize a table; JSON also embeds ``metadata`` when given."""
     if fmt == "csv":
-        return _csv_bytes(
-            MEASUREMENT_COLUMNS,
-            [[r[c] for c in MEASUREMENT_COLUMNS] for r in records],
-        )
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(table.columns)
+        for row in table.rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        return out.getvalue().encode("utf-8")
     if fmt == "json":
-        return _json_bytes({"rows": [dict(r) for r in records]}, metadata)
-    raise ValueError(f"measurements are emitted as csv or json, not {fmt!r}")
+        doc = dict(table.json or {"rows": [dict(zip(table.columns, r)) for r in table.rows]})
+        if metadata is not None:
+            doc["environment"] = dict(metadata)
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    if fmt == "md" and table.md_header:
+        lines = [
+            "| " + " | ".join(table.md_header) + " |",
+            "|" + "|".join(":---" if a == "l" else "---:" for a in table.md_align) + "|",
+        ]
+        lines += ["| " + " | ".join(row) + " |" for row in table.md_rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    if fmt == "svg" and table.svg is not None:
+        return table.svg()
+    raise ValueError(f"report format {fmt!r} is not available for this table")
 
 
 # ---------------------------------------------------------------------------
 # Ranking-shaped reports (also used for head-to-head tables)
 
-def emit_report(
-    rows: Sequence[EfficiencyRow],
-    fmt: str,
-    *,
-    weights: Weights = DEFAULT_WEIGHTS,
-    metadata: Mapping | None = None,
-) -> bytes:
-    """Render sorted efficiency rows in one of the supported formats."""
-    if fmt == "csv":
-        return _csv_bytes(
-            RANKING_CSV_COLUMNS,
-            [
-                (i + 1, r.pipeline.display_name, r.dataset, r.size_class,
-                 r.cr, r.cs, r.ds, r.cr_norm, r.cs_norm, r.ds_norm, r.efficiency)
-                for i, r in enumerate(rows)
-            ],
-        )
-    if fmt == "json":
-        return _json_bytes(
-            {
-                "rows": [
-                    {
-                        "rank": i + 1,
-                        "pipeline": r.pipeline.display_name,
-                        "dataset": r.dataset,
-                        "size_class": r.size_class,
-                        "cr": r.cr,
-                        "cs_mb_s": r.cs,
-                        "ds_mb_s": r.ds,
-                        "cr_norm": r.cr_norm,
-                        "cs_norm": r.cs_norm,
-                        "ds_norm": r.ds_norm,
-                        "efficiency": r.efficiency,
-                    }
-                    for i, r in enumerate(rows)
-                ]
-            },
-            metadata,
-        )
-    if fmt == "md":
-        return _md_table(
-            ["Rank", "Algorithm/Hybrid", "Dataset", "Size",
-             "CR", "CS (MB/s)", "DS (MB/s)", "Efficiency"],
-            ["r", "l", "l", "l", "r", "r", "r", "r"],
-            [
-                (str(i + 1), r.pipeline.display_name, r.dataset, r.size_class,
-                 f"{r.cr:.2f}", f"{r.cs:.2f}", f"{r.ds:.2f}", f"{r.efficiency:.4f}")
-                for i, r in enumerate(rows)
-            ],
-        )
-    if fmt == "svg":
-        return _svg_ranking(rows, weights)
-    raise ValueError(f"unknown report format {fmt!r}")
+def ranking_report(rows: Sequence[EfficiencyRow], weights: Weights = DEFAULT_WEIGHTS) -> Table:
+    """Sorted efficiency rows; ``weights`` sizes the stacked SVG segments."""
+    return Table(
+        columns=RANKING_CSV_COLUMNS,
+        rows=[
+            (i + 1, r.pipeline.display_name, r.dataset, r.size_class,
+             r.cr, r.cs, r.ds, r.cr_norm, r.cs_norm, r.ds_norm, r.efficiency)
+            for i, r in enumerate(rows)
+        ],
+        md_header=["Rank", "Algorithm/Hybrid", "Dataset", "Size",
+                   "CR", "CS (MB/s)", "DS (MB/s)", "Efficiency"],
+        md_align="rlllrrrr",
+        md_rows=[
+            (str(i + 1), r.pipeline.display_name, r.dataset, r.size_class,
+             f"{r.cr:.2f}", f"{r.cs:.2f}", f"{r.ds:.2f}", f"{r.efficiency:.4f}")
+            for i, r in enumerate(rows)
+        ],
+        svg=partial(_svg_ranking, rows, weights),
+    )
 
 
 def _svg_ranking(rows: Sequence[EfficiencyRow], weights: Weights) -> bytes:
@@ -218,37 +183,16 @@ def _svg_ranking(rows: Sequence[EfficiencyRow], weights: Weights) -> bytes:
 # ---------------------------------------------------------------------------
 # Balance table (ratio vs compression speed)
 
-def emit_balance(
-    pairs: Sequence[tuple[PipelineSpec, float, float]],
-    fmt: str,
-    *,
-    metadata: Mapping | None = None,
-) -> bytes:
-    """Render (pipeline, CR, CS) projections, best ratio first."""
-    if fmt == "csv":
-        return _csv_bytes(
-            ["pipeline", "cr", "cs_mb_s"],
-            [(spec.display_name, cr, cs) for spec, cr, cs in pairs],
-        )
-    if fmt == "json":
-        return _json_bytes(
-            {
-                "rows": [
-                    {"pipeline": spec.display_name, "cr": cr, "cs_mb_s": cs}
-                    for spec, cr, cs in pairs
-                ]
-            },
-            metadata,
-        )
-    if fmt == "md":
-        return _md_table(
-            ["Algorithm/Hybrid", "Compression Ratio", "Compression Speed (MB/s)"],
-            ["l", "r", "r"],
-            [(spec.display_name, f"{cr:.2f}", f"{cs:.2f}") for spec, cr, cs in pairs],
-        )
-    if fmt == "svg":
-        return _svg_balance(pairs)
-    raise ValueError(f"unknown report format {fmt!r}")
+def balance_report(pairs: Sequence[tuple[PipelineSpec, float, float]]) -> Table:
+    """(pipeline, CR, CS) projections, best ratio first."""
+    return Table(
+        columns=["pipeline", "cr", "cs_mb_s"],
+        rows=[(spec.display_name, cr, cs) for spec, cr, cs in pairs],
+        md_header=["Algorithm/Hybrid", "Compression Ratio", "Compression Speed (MB/s)"],
+        md_align="lrr",
+        md_rows=[(spec.display_name, f"{cr:.2f}", f"{cs:.2f}") for spec, cr, cs in pairs],
+        svg=partial(_svg_balance, pairs),
+    )
 
 
 def _svg_balance(pairs: Sequence[tuple[PipelineSpec, float, float]]) -> bytes:
@@ -283,37 +227,22 @@ def _svg_balance(pairs: Sequence[tuple[PipelineSpec, float, float]]) -> bytes:
 # ---------------------------------------------------------------------------
 # Component frequency
 
-def emit_frequency(
-    counts: Mapping[CodecId, int],
-    fmt: str,
-    *,
-    total_rows: int | None = None,
-    metadata: Mapping | None = None,
-) -> bytes:
-    """Render per-codec appearance counts (descending, then by codec name)."""
+def frequency_report(counts: Mapping[CodecId, int], total_rows: int) -> Table:
+    """Per-codec appearance counts (descending, then by codec name) out of
+    ``total_rows`` ranked rows."""
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].canonical_name))
-    if fmt == "csv":
-        return _csv_bytes(
-            ["codec", "count"], [(c.canonical_name, n) for c, n in ordered]
-        )
-    if fmt == "json":
-        payload: dict = {
-            "counts": {c.canonical_name: n for c, n in ordered},
-        }
-        if total_rows is not None:
-            payload["rows_counted"] = total_rows
-        return _json_bytes(payload, metadata)
-    if fmt == "md":
-        rows = []
-        for c, n in ordered:
-            share = f"{100 * n / total_rows:.1f}%" if total_rows else ""
-            rows.append((c.canonical_name, str(n), share))
-        return _md_table(
-            ["Codec", "Appearances", "Share of rows"], ["l", "r", "r"], rows
-        )
-    if fmt == "svg":
-        return _svg_frequency(ordered)
-    raise ValueError(f"unknown report format {fmt!r}")
+    return Table(
+        columns=["codec", "count"],
+        rows=[(c.canonical_name, n) for c, n in ordered],
+        md_header=["Codec", "Appearances", "Share of rows"],
+        md_align="lrr",
+        md_rows=[
+            (c.canonical_name, str(n), f"{100 * n / total_rows:.1f}%" if total_rows else "")
+            for c, n in ordered
+        ],
+        svg=partial(_svg_frequency, ordered),
+        json={"counts": {c.canonical_name: n for c, n in ordered}, "rows_counted": total_rows},
+    )
 
 
 def _svg_frequency(ordered: Sequence[tuple[CodecId, int]]) -> bytes:

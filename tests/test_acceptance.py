@@ -22,7 +22,7 @@ from hybc.pipeline import (
     enumerate_pipelines,
     pipeline_from_name,
 )
-from hybc.report import RANKING_CSV_COLUMNS, emit_report
+from hybc.report import RANKING_CSV_COLUMNS, ranking_report, render
 from hybc.scoring import (
     EfficiencyRow,
     component_frequency,
@@ -245,8 +245,8 @@ def test_09_report_stability():
     rows = rank_pipelines(
         [measurement_from_metrics(*entry) for entry in REFERENCE_LARGE_COHORT]
     )
-    first = emit_report(rows, "csv")
-    second = emit_report(rows, "csv")
+    first = render(ranking_report(rows), "csv")
+    second = render(ranking_report(rows), "csv")
     assert first == second
     header = first.decode().splitlines()[0]
     assert header == ",".join(RANKING_CSV_COLUMNS)

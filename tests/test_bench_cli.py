@@ -301,8 +301,52 @@ def test_cli_report_reemits_from_measurements(runner, three_corpora, tmp_path):
     assert len(doc["rows"]) == 3
 
 
+_OK_ROW = {
+    "dataset": "d", "pipeline": "Zstd", "status": "ok", "original_bytes": 1000,
+    "compressed_bytes": 400, "compress_seconds": 0.01, "decompress_seconds": 0.002,
+    "repetitions": 1,
+}
+
+
+def _measurements_doc(*changes: dict) -> bytes:
+    return json.dumps({"rows": [_OK_ROW | change for change in changes]}).encode()
+
+
 def test_cli_report_rejects_bad_file(runner, tmp_path):
-    bad = tmp_path / "not.json"
-    bad.write_bytes(b"{this is not json")
-    result = runner.invoke(main, ["report", str(bad)])
+    hostile = [
+        b"{this is not json",
+        b'{"rows": [1]}',
+        _measurements_doc({"compress_seconds": float("nan")}, {"pipeline": "LZMA"}),
+        _measurements_doc({"dataset": "x/y"}, {"dataset": "x/y", "pipeline": "LZMA"}),
+        _measurements_doc({"original_bytes": float("inf")}, {"pipeline": "LZMA"}),
+        _measurements_doc({"pipeline": 5}, {"pipeline": "LZMA"}),
+    ]
+    bad = tmp_path / "bad.json"
+    for payload in hostile:
+        bad.write_bytes(payload)
+        result = runner.invoke(main, ["report", str(bad), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, payload
+        assert isinstance(result.exception, SystemExit), payload  # no traceback
+        assert "bad measurements file: " in result.output, payload
+
+
+def test_cli_out_naming_a_file_fails_cleanly(runner, tmp_path, tiny_text, monkeypatch):
+    cells = []
+    monkeypatch.setattr(bench_mod, "measure", lambda *args, **kwargs: cells.append(args))
+    src = tmp_path / "in.txt"
+    src.write_bytes(tiny_text)
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"")
+    result = runner.invoke(main, ["bench", str(src), "--out", str(taken)])
     assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith("Error: cannot create")
+    assert len(result.output.strip().splitlines()) == 1
+    assert cells == []  # failed before measuring anything
+
+    measurements = tmp_path / "m.json"
+    measurements.write_bytes(_measurements_doc({}, {"pipeline": "LZMA"}))
+    result = runner.invoke(main, ["report", str(measurements), "--out", str(taken)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: cannot write reports")

@@ -35,14 +35,11 @@ def test_invalid_codec_values_rejected(value):
 
 def test_fixed_parameter_table():
     assert codec_params(CodecId.LZMA).level == 6
-    assert codec_params(CodecId.LZMA).dictionary is None
     assert codec_params(CodecId.ZSTD).level == 6
     assert codec_params(CodecId.BROTLI).level == 6
     assert codec_params(CodecId.BROTLI).window_log == 22
     assert codec_params(CodecId.BZIP2).block_size_kb == 900
     assert codec_params(CodecId.LZ4HC).level == 6
-    for codec in ALL_CODECS:
-        assert codec_params(codec).dictionary is None
 
 
 def test_codec_params_pure():
