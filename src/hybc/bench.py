@@ -1,19 +1,19 @@
 """Benchmark orchestration: measure every input x pipeline cell, rank each
 dataset's cohort, and write the report files.
 
-A failing cell never aborts the run; it becomes an error row and the overall
-result is marked unsuccessful. Measurements are serialized by the metrics
-lock, so a bench is single-flight by construction.
+A failing cell never aborts the run; it becomes an error row. Measurements
+are serialized by the metrics lock, so a bench is single-flight by
+construction.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .codecs import CodecId
-from .corpus import DatasetDescriptor, load_dataset
+from .corpus import SizeClass, classify_size, load_dataset
 from .errors import HybcError
 from .metrics import (
     DsBasis,
@@ -23,9 +23,8 @@ from .metrics import (
     decompression_speed,
     measure,
 )
-from .pipeline import PipelineSpec, enumerate_pipelines, pipeline_from_name
+from .pipeline import PipelineSpec, pipeline_from_name
 from .report import (
-    FORMATS,
     Table,
     balance_report,
     environment_metadata,
@@ -34,7 +33,6 @@ from .report import (
     render,
 )
 from .scoring import (
-    DEFAULT_WEIGHTS,
     EfficiencyRow,
     Weights,
     balance_table,
@@ -44,57 +42,18 @@ from .scoring import (
 
 FREQUENCY_TOP_K = 10
 
-_DEFAULT_HEAD_TO_HEAD = PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)
-
 # Dataset names become parts of report file names, so they are restricted to
 # these characters.
 _DATASET_CHARS = "A-Za-z0-9._-"
 
 
 @dataclass
-class BenchConfig:
-    inputs: Sequence[Path]
-    pipelines: Sequence[PipelineSpec] | None = None  # None means all 25
-    repetitions: int = 5
-    weights: Weights = DEFAULT_WEIGHTS
-    ds_basis: DsBasis = DsBasis.COMPRESSED
-    output_dir: Path = Path("hybc-reports")
-    formats: Sequence[str] = FORMATS
-    head_to_head: PipelineSpec | None = _DEFAULT_HEAD_TO_HEAD
-
-    def validate(self) -> None:
-        if not self.inputs:
-            raise ValueError("at least one input file is required")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if not self.formats:
-            raise ValueError("at least one report format is required")
-        unknown = set(self.formats) - set(FORMATS)
-        if unknown:
-            raise ValueError(f"unknown formats: {', '.join(sorted(unknown))}")
-
-
-@dataclass
 class BenchRow:
     dataset: str
     pipeline: PipelineSpec
-    descriptor: DatasetDescriptor | None = None
+    size_class: SizeClass | None = None  # None when the input could not be read
     measurement: Measurement | None = None
     error: str | None = None
-
-
-@dataclass
-class BenchResult:
-    rows: list[BenchRow] = field(default_factory=list)
-    rankings: dict[str, list[EfficiencyRow]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(row.error is None for row in self.rows)
-
-    @property
-    def failed_rows(self) -> list[BenchRow]:
-        return [row for row in self.rows if row.error is not None]
 
 
 def _dataset_names(paths: Sequence[Path]) -> list[str]:
@@ -111,36 +70,35 @@ def _dataset_names(paths: Sequence[Path]) -> list[str]:
 
 
 def run_bench(
-    config: BenchConfig,
+    inputs: Sequence[Path],
+    specs: Sequence[PipelineSpec],
+    repetitions: int,
     progress: Callable[[BenchRow], None] | None = None,
-) -> BenchResult:
-    """Measure every input x pipeline combination and rank per dataset."""
-    config.validate()
-    specs = list(config.pipelines) if config.pipelines else enumerate_pipelines()
-    result = BenchResult()
+) -> list[BenchRow]:
+    """Measure every input x pipeline combination, one row per cell."""
+    rows: list[BenchRow] = []
 
     def add(row: BenchRow) -> None:
-        result.rows.append(row)
+        rows.append(row)
         if progress:
             progress(row)
 
-    for name, path in zip(_dataset_names(config.inputs), config.inputs):
+    for name, path in zip(_dataset_names(inputs), inputs):
         try:
-            descriptor, data = load_dataset(path)
+            data = load_dataset(path)
         except (OSError, HybcError) as exc:
             for spec in specs:
                 add(BenchRow(dataset=name, pipeline=spec, error=str(exc)))
             continue
+        size_class = classify_size(len(data))
         for spec in specs:
-            row = BenchRow(dataset=name, pipeline=spec, descriptor=descriptor)
+            row = BenchRow(dataset=name, pipeline=spec, size_class=size_class)
             try:
-                row.measurement = measure(spec, data, config.repetitions, dataset=name)
+                row.measurement = measure(spec, data, repetitions, dataset=name)
             except (HybcError, ValueError) as exc:
                 row.error = str(exc)
             add(row)
-    ok = [row.measurement for row in result.rows if row.measurement is not None]
-    result.rankings = rank_by_dataset(ok, config.weights, config.ds_basis)
-    return result
+    return rows
 
 
 def rank_by_dataset(
@@ -175,7 +133,7 @@ def measurements_report(rows: Sequence[BenchRow], ds_basis: DsBasis) -> Table:
             m.repetitions, compression_ratio(m), compression_speed(m),
             decompression_speed(m, ds_basis),
         ]
-        records.append([row.dataset, row.descriptor.size_class.label if row.descriptor else "",
+        records.append([row.dataset, row.size_class.label if row.size_class else "",
                         row.pipeline.display_name, "ok" if row.error is None else "error",
                         *measured, row.error or ""])
     return Table(MEASUREMENT_COLUMNS, records)
@@ -184,7 +142,8 @@ def measurements_report(rows: Sequence[BenchRow], ds_basis: DsBasis) -> Table:
 def read_measurements(doc: dict) -> list[Measurement]:
     """The successful rows of a measurements JSON document. The document comes
     from outside, so a malformed row raises ValueError, KeyError or TypeError."""
-    measurements = []
+    measurements: list[Measurement] = []
+    cells: set[tuple[str, PipelineSpec]] = set()
     for row in doc["rows"]:
         if not isinstance(row, dict):
             raise TypeError(f"row {row!r} is not an object")
@@ -194,7 +153,7 @@ def read_measurements(doc: dict) -> list[Measurement]:
             raise TypeError(f"pipeline {row['pipeline']!r} is not a string")
         if not re.fullmatch(f"[{_DATASET_CHARS}]+", row["dataset"]):
             raise ValueError(f"dataset name {row['dataset']!r} is not made of {_DATASET_CHARS}")
-        measurements.append(Measurement(
+        m = Measurement(
             pipeline=pipeline_from_name(row["pipeline"]),
             dataset=row["dataset"],
             original_bytes=int(row["original_bytes"]),
@@ -202,23 +161,28 @@ def read_measurements(doc: dict) -> list[Measurement]:
             compress_seconds=float(row["compress_seconds"]),
             decompress_seconds=float(row["decompress_seconds"]),
             repetitions=int(row["repetitions"]),
-        ))
+        )
+        if (m.dataset, m.pipeline) in cells:
+            raise ValueError(f"dataset {m.dataset!r} has two ok rows for {m.pipeline.display_name}")
+        cells.add((m.dataset, m.pipeline))
+        measurements.append(m)
     return measurements
 
 
 # ---------------------------------------------------------------------------
 # Report writing
 
-def write_reports(result: BenchResult, config: BenchConfig) -> list[Path]:
-    """Write measurement tables plus all analysis reports; returns the paths."""
-    outdir = Path(config.output_dir)
-    metadata = environment_metadata(
-        repetitions=config.repetitions, ds_basis=config.ds_basis, weights=config.weights
-    )
-    written = _write(outdir, "measurements", measurements_report(result.rows, config.ds_basis),
-                     [fmt for fmt in ("csv", "json") if fmt in config.formats], metadata)
+def write_reports(
+    rows: Sequence[BenchRow], outdir: Path, formats: Sequence[str], weights: Weights,
+    ds_basis: DsBasis, head_to_head: PipelineSpec | None, repetitions: int,
+) -> list[Path]:
+    """Write the measurements plus every analysis report; returns the paths."""
+    metadata = environment_metadata(repetitions=repetitions, ds_basis=ds_basis, weights=weights)
+    written = _write(outdir, "measurements", measurements_report(rows, ds_basis),
+                     [fmt for fmt in ("csv", "json") if fmt in formats], metadata)
+    ok = [row.measurement for row in rows if row.measurement is not None]
     return written + write_analysis_reports(
-        result.rankings, outdir, config.formats, config.weights, config.head_to_head, metadata
+        rank_by_dataset(ok, weights, ds_basis), outdir, formats, weights, head_to_head, metadata
     )
 
 

@@ -12,7 +12,6 @@ import click
 
 from . import __version__
 from .bench import (
-    BenchConfig,
     BenchRow,
     rank_by_dataset,
     read_measurements,
@@ -27,6 +26,7 @@ from .pipeline import (
     PipelineSpec,
     compress_pipeline,
     decompress_pipeline,
+    enumerate_pipelines,
     pipeline_from_name,
 )
 from .report import FORMATS, environment_metadata
@@ -165,39 +165,31 @@ def _report_options(command):
 @_report_options
 def bench(inputs, pipelines, reps, weights, ds_basis, out_dir, formats, head_to_head) -> None:
     """Benchmark every input x pipeline cell and write ranked reports."""
-    specs = None
+    specs = enumerate_pipelines()
     if pipelines.strip().lower() != "all":
         specs = [_parse_pipeline(p) for p in pipelines.split(",") if p.strip()]
         if not specs:
             raise click.UsageError("--pipelines received an empty list")
-    config = BenchConfig(
-        inputs=[Path(p) for p in inputs],
-        pipelines=specs,
-        repetitions=reps,
-        weights=weights,
-        ds_basis=ds_basis,
-        output_dir=Path(out_dir),
-        formats=formats,
-        head_to_head=head_to_head,
-    )
+        for i, spec in enumerate(specs):
+            if spec in specs[:i]:
+                raise click.UsageError(f"--pipelines names {spec.display_name} twice")
+    if reps < 1:
+        raise click.UsageError("repetitions must be >= 1")
+    outdir = Path(out_dir)
     try:
-        config.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    try:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
+        outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise click.ClickException(f"cannot create {out_dir}: {exc}") from exc
     click.echo(f"benchmarking {len(inputs)} input(s), reps={reps}")
-    result = run_bench(config, progress=_echo_row)
+    rows = run_bench([Path(p) for p in inputs], specs, reps, progress=_echo_row)
     try:
-        written = write_reports(result, config)
+        written = write_reports(rows, outdir, formats, weights, ds_basis, head_to_head, reps)
     except OSError as exc:
         raise click.ClickException(f"cannot write reports: {exc}") from exc
-    click.echo(f"wrote {len(written)} report file(s) to {config.output_dir}")
-    failed = result.failed_rows
+    click.echo(f"wrote {len(written)} report file(s) to {outdir}")
+    failed = [row for row in rows if row.error is not None]
     if failed:
-        raise click.ClickException(f"{len(failed)} of {len(result.rows)} runs failed")
+        raise click.ClickException(f"{len(failed)} of {len(rows)} runs failed")
 
 
 @main.command()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidUtf8
@@ -19,9 +18,6 @@ _KB = 1024
 
 SMALL_LIMIT = 512 * _KB
 MEDIUM_LIMIT = 4 * 1024 * _KB
-
-_DEVANAGARI_LO = 0x0900
-_DEVANAGARI_HI = 0x097F
 
 
 class SizeClass(enum.Enum):
@@ -57,41 +53,16 @@ def classify_size(byte_len: int) -> SizeClass:
     return SizeClass.LARGE
 
 
-@dataclass(frozen=True)
-class DatasetDescriptor:
-    name: str
-    size_class: SizeClass
-    byte_len: int
-    devanagari_fraction: float
-
-
-def devanagari_fraction(text: str) -> float:
-    """Fraction of code points inside the Devanagari block (U+0900-U+097F)."""
-    if not text:
-        return 0.0
-    hits = sum(1 for ch in text if _DEVANAGARI_LO <= ord(ch) <= _DEVANAGARI_HI)
-    return hits / len(text)
-
-
-def load_dataset(path: str | Path) -> tuple[DatasetDescriptor, bytes]:
-    """Read a corpus file, validate strict UTF-8, and describe it.
-
-    The returned bytes are exactly the file contents; the descriptor is
-    derived metadata only.
-    """
+def load_dataset(path: str | Path) -> bytes:
+    """Read a corpus file and validate strict UTF-8; the bytes are returned
+    exactly as the file holds them."""
     path = Path(path)
     raw = path.read_bytes()
     try:
-        text = raw.decode("utf-8", errors="strict")
+        raw.decode("utf-8", errors="strict")
     except UnicodeDecodeError as exc:
         raise InvalidUtf8(exc.start, f"{path}: invalid UTF-8 at byte {exc.start}") from exc
-    descriptor = DatasetDescriptor(
-        name=path.stem,
-        size_class=classify_size(len(raw)),
-        byte_len=len(raw),
-        devanagari_fraction=devanagari_fraction(text),
-    )
-    return descriptor, raw
+    return raw
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ import time
 import pytest
 
 from conftest_oracles import REFERENCE_LARGE_COHORT, measurement_from_metrics
-from hybc.bench import BenchConfig, run_bench, write_reports
+from hybc.bench import run_bench, write_reports
 from hybc.codecs import CodecId
 from hybc.corpus import SizeClass, generate_synthetic, load_dataset
+from hybc.metrics import DsBasis
 from hybc.pipeline import (
     PipelineSpec,
     compress_pipeline,
@@ -24,6 +25,7 @@ from hybc.pipeline import (
 )
 from hybc.report import RANKING_CSV_COLUMNS, ranking_report, render
 from hybc.scoring import (
+    DEFAULT_WEIGHTS,
     EfficiencyRow,
     component_frequency,
     efficiency_score,
@@ -100,16 +102,11 @@ def test_02_enumeration_and_bench_counts(tmp_path, tiny_text):
     assert sum(p.is_hybrid for p in pipelines) == 20
     for i in range(3):
         (tmp_path / f"text_{i}.txt").write_bytes(tiny_text + str(i).encode())
-    config = BenchConfig(
-        inputs=sorted(tmp_path.glob("text_*.txt")),
-        repetitions=1,
-        output_dir=tmp_path / "out",
-        formats=("csv",),
-    )
-    result = run_bench(config)
-    assert len(result.rows) == 75
-    assert sum(r.pipeline.is_hybrid for r in result.rows) == 60
-    write_reports(result, config)
+    rows = run_bench(sorted(tmp_path.glob("text_*.txt")), pipelines, 1)
+    assert len(rows) == 75
+    assert sum(r.pipeline.is_hybrid for r in rows) == 60
+    write_reports(rows, tmp_path / "out", ("csv",), DEFAULT_WEIGHTS, DsBasis.COMPRESSED,
+                  pipeline_from_name("Zstd+LZ4HC"), 1)
     lines = (tmp_path / "out" / "measurements.csv").read_text().splitlines()
     assert len(lines) == 76
     print("[acceptance] enumeration and bench counts: PASS (25 pipelines, 75 rows)")
@@ -230,7 +227,7 @@ _EXTERNAL_DATASET = os.environ.get("HYBC_LARGE_REFERENCE_DATASET", "")
     reason="set HYBC_LARGE_REFERENCE_DATASET to the published large Hindi corpus",
 )
 def test_08_published_ratio_anchors_external_dataset():
-    _, data = load_dataset(_EXTERNAL_DATASET)
+    data = load_dataset(_EXTERNAL_DATASET)
     brotli = len(data) / len(compress_pipeline(PipelineSpec(CodecId.BROTLI), data))
     bzip2 = len(data) / len(compress_pipeline(PipelineSpec(CodecId.BZIP2), data))
     assert abs(brotli - 117.11) / 117.11 <= 0.10, brotli

@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -5,10 +6,12 @@ import pytest
 from click.testing import CliRunner
 
 import hybc.bench as bench_mod
-from hybc.bench import BenchConfig, run_bench, write_reports
+from hybc.bench import rank_by_dataset, run_bench, write_reports
 from hybc.cli import main
 from hybc.errors import CodecFailure
-from hybc.pipeline import pipeline_from_name
+from hybc.metrics import DsBasis
+from hybc.pipeline import enumerate_pipelines, pipeline_from_name
+from hybc.scoring import DEFAULT_WEIGHTS
 
 
 @pytest.fixture()
@@ -26,59 +29,48 @@ def runner():
     return CliRunner()
 
 
+def _specs(*names):
+    return [pipeline_from_name(name) for name in names]
+
+
+def _rankings(rows):
+    ok = [row.measurement for row in rows if row.measurement is not None]
+    return rank_by_dataset(ok, DEFAULT_WEIGHTS, DsBasis.COMPRESSED)
+
+
 # ---------------------------------------------------------------------------
 # run_bench
 
 def test_bench_full_matrix_row_count(three_corpora, tmp_path):
-    config = BenchConfig(
-        inputs=three_corpora,
-        repetitions=1,
-        output_dir=tmp_path / "out",
-        formats=("csv", "json"),
-    )
-    result = run_bench(config)
-    assert len(result.rows) == 75
-    assert result.ok
-    assert {len(rows) for rows in result.rankings.values()} == {25}
-    written = write_reports(result, config)
+    rows = run_bench(three_corpora, enumerate_pipelines(), 1)
+    assert len(rows) == 75
+    assert all(row.error is None for row in rows)
+    assert {len(ranked) for ranked in _rankings(rows).values()} == {25}
+    written = write_reports(rows, tmp_path / "out", ("csv", "json"), DEFAULT_WEIGHTS,
+                            DsBasis.COMPRESSED, pipeline_from_name("Zstd+LZ4HC"), 1)
     csv_path = next(p for p in written if p.name == "measurements.csv")
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 76  # header + one row per input x pipeline
 
 
-def test_bench_pipeline_filter(three_corpora, tmp_path):
-    config = BenchConfig(
-        inputs=three_corpora[:1],
-        pipelines=[pipeline_from_name("Zstd")],
-        repetitions=1,
-        output_dir=tmp_path / "out",
-        formats=("csv",),
-    )
-    result = run_bench(config)
-    assert len(result.rows) == 1
-    assert result.rows[0].pipeline.display_name == "Zstd"
-    assert result.rankings == {}  # a single row cannot form a cohort
+def test_bench_pipeline_filter(three_corpora):
+    rows = run_bench(three_corpora[:1], _specs("Zstd"), 1)
+    assert len(rows) == 1
+    assert rows[0].pipeline.display_name == "Zstd"
+    assert _rankings(rows) == {}  # a single row cannot form a cohort
 
 
 def test_bench_error_rows_for_unloadable_input(three_corpora, tmp_path):
     bad = tmp_path / "broken.txt"
     bad.write_bytes(b"\xff\xfe not utf8")
-    config = BenchConfig(
-        inputs=[three_corpora[0], bad],
-        pipelines=[pipeline_from_name("Zstd"), pipeline_from_name("LZ4HC")],
-        repetitions=1,
-        output_dir=tmp_path / "out",
-        formats=("csv",),
-    )
-    result = run_bench(config)
-    assert len(result.rows) == 4  # 2 inputs x 2 pipelines, error rows included
-    assert not result.ok
-    errors = [r for r in result.rows if r.error is not None]
+    rows = run_bench([three_corpora[0], bad], _specs("Zstd", "LZ4HC"), 1)
+    assert len(rows) == 4  # 2 inputs x 2 pipelines, error rows included
+    errors = [r for r in rows if r.error is not None]
     assert len(errors) == 2
     assert all(r.dataset == "broken" for r in errors)
 
 
-def test_bench_records_pipeline_failure_and_continues(three_corpora, tmp_path, monkeypatch):
+def test_bench_records_pipeline_failure_and_continues(three_corpora, monkeypatch):
     real_measure = bench_mod.measure
 
     def flaky_measure(spec, data, repetitions, *, dataset="data", **kwargs):
@@ -87,40 +79,24 @@ def test_bench_records_pipeline_failure_and_continues(three_corpora, tmp_path, m
         return real_measure(spec, data, repetitions, dataset=dataset, **kwargs)
 
     monkeypatch.setattr(bench_mod, "measure", flaky_measure)
-    config = BenchConfig(
-        inputs=three_corpora[:1],
-        pipelines=[pipeline_from_name("Zstd"), pipeline_from_name("LZ4HC"),
-                   pipeline_from_name("Bzip2")],
-        repetitions=1,
-        output_dir=tmp_path / "out",
-        formats=("csv",),
-    )
-    result = run_bench(config)
-    assert len(result.rows) == 3
-    failed = result.failed_rows
+    rows = run_bench(three_corpora[:1], _specs("Zstd", "LZ4HC", "Bzip2"), 1)
+    assert len(rows) == 3
+    failed = [r for r in rows if r.error is not None]
     assert [r.pipeline.display_name for r in failed] == ["LZ4HC"]
     assert "injected fault" in failed[0].error
     # the surviving two rows still form a cohort
-    assert len(result.rankings["corpus_0"]) == 2
+    assert len(_rankings(rows)["corpus_0"]) == 2
 
 
-def test_bench_rerun_reproduces_size_columns(three_corpora, tmp_path):
+def test_bench_rerun_reproduces_size_columns(three_corpora):
     # sizes (and so CR) are deterministic across reruns; timings may differ
-    config = BenchConfig(
-        inputs=three_corpora[:1],
-        pipelines=[pipeline_from_name(n) for n in ("Zstd", "LZMA", "Zstd+LZ4HC")],
-        repetitions=1,
-        output_dir=tmp_path / "out",
-        formats=("csv",),
-    )
-    def sizes(res):
-        return [
-            (r.pipeline.display_name, r.measurement.compressed_bytes)
-            for r in res.rows
-        ]
+    specs = _specs("Zstd", "LZMA", "Zstd+LZ4HC")
 
-    first = run_bench(config)
-    second = run_bench(config)
+    def sizes(rows):
+        return [(r.pipeline.display_name, r.measurement.compressed_bytes) for r in rows]
+
+    first = run_bench(three_corpora[:1], specs, 1)
+    second = run_bench(three_corpora[:1], specs, 1)
     assert sizes(first) == sizes(second)
 
 
@@ -131,29 +107,18 @@ def test_bench_duplicate_stems_get_distinct_names(tmp_path, tiny_text):
     b.parent.mkdir()
     a.write_bytes(tiny_text)
     b.write_bytes(tiny_text)
-    config = BenchConfig(
-        inputs=[a, b],
-        pipelines=[pipeline_from_name("Zstd")],
-        repetitions=1,
-        output_dir=tmp_path / "out",
-        formats=("csv",),
-    )
-    result = run_bench(config)
-    assert {r.dataset for r in result.rows} == {"data", "data_2"}
+    rows = run_bench([a, b], _specs("Zstd"), 1)
+    assert {r.dataset for r in rows} == {"data", "data_2"}
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"inputs": []},
-        {"inputs": [Path("x")], "repetitions": 0},
-        {"inputs": [Path("x")], "formats": ()},
-        {"inputs": [Path("x")], "formats": ("csv", "pdf")},
-    ],
-)
-def test_bench_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        BenchConfig(**kwargs).validate()
+def test_traced_run_targets_resolve(monkeypatch):
+    """Every name the traced benchmark run patches still exists and is callable."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+    targets = layers.span_targets(layers.SampleRecorder())
+    assert targets
+    for module, attr, _, _ in targets:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +239,21 @@ def test_cli_bench_partial_failure_exits_nonzero(runner, tmp_path, tiny_text):
         ["bench", "x.txt", "--pipelines", "Zstd+Snappy"],
         ["bench", "x.txt", "--format", "csv,pdf"],
         ["bench", "x.txt", "--ds-basis", "both"],
+        ["bench"],
+        ["bench", "x.txt", "--reps", "0"],
+        ["bench", "x.txt", "--format", ","],
+        ["bench", "x.txt", "--pipelines", "Zstd,LZ4HC,zstd"],
     ],
 )
 def test_cli_bench_usage_errors(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
+
+
+def test_cli_bench_repeated_pipeline_names_it(runner):
+    result = runner.invoke(main, ["bench", "x.txt", "--pipelines", "Zstd+LZ4HC,LZMA,zstd+lz4hc"])
+    assert result.exit_code == 2
+    assert "--pipelines names Zstd + LZ4HC twice" in result.output
 
 
 def test_cli_report_reemits_from_measurements(runner, three_corpora, tmp_path):
@@ -320,6 +295,7 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         _measurements_doc({"dataset": "x/y"}, {"dataset": "x/y", "pipeline": "LZMA"}),
         _measurements_doc({"original_bytes": float("inf")}, {"pipeline": "LZMA"}),
         _measurements_doc({"pipeline": 5}, {"pipeline": "LZMA"}),
+        _measurements_doc({}, {"pipeline": "zstd", "compress_seconds": 0.02}),
     ]
     bad = tmp_path / "bad.json"
     for payload in hostile:

@@ -4,10 +4,8 @@ from hypothesis import strategies as st
 
 from hybc.codecs import CodecId
 from hybc.corpus import (
-    DatasetDescriptor,
     SizeClass,
     classify_size,
-    devanagari_fraction,
     generate_synthetic,
     load_dataset,
 )
@@ -69,7 +67,8 @@ def test_generate_hits_target_size(size_class):
 
 def test_generate_valid_utf8_and_mostly_devanagari():
     text = generate_synthetic(SizeClass.MEDIUM, 7).decode("utf-8", errors="strict")
-    assert devanagari_fraction(text) > 0.8
+    devanagari = sum(1 for ch in text if 0x0900 <= ord(ch) <= 0x097F)
+    assert devanagari / len(text) > 0.8
 
 
 def test_generated_text_compresses_under_every_codec(small_corpus):
@@ -78,23 +77,10 @@ def test_generated_text_compresses_under_every_codec(small_corpus):
         assert len(small_corpus) / len(container) > 1.0, codec.name
 
 
-def test_devanagari_fraction_ascii_is_zero():
-    assert devanagari_fraction("plain ascii text\n") == 0.0
-    assert devanagari_fraction("") == 0.0
-
-
 def test_load_dataset(tmp_path, small_corpus):
     path = tmp_path / "sample.txt"
     path.write_bytes(small_corpus)
-    descriptor, raw = load_dataset(path)
-    assert raw == small_corpus
-    assert descriptor == DatasetDescriptor(
-        name="sample",
-        size_class=SizeClass.SMALL,
-        byte_len=len(small_corpus),
-        devanagari_fraction=descriptor.devanagari_fraction,
-    )
-    assert descriptor.devanagari_fraction > 0.8
+    assert load_dataset(path) == small_corpus
 
 
 def test_load_dataset_reports_invalid_utf8_offset(tmp_path):
@@ -113,6 +99,4 @@ def test_load_dataset_missing_file(tmp_path):
 def test_load_dataset_pure_ascii(tmp_path):
     path = tmp_path / "ascii.txt"
     path.write_bytes(b"hello world\n" * 10)
-    descriptor, _ = load_dataset(path)
-    assert descriptor.devanagari_fraction == 0.0
-    assert descriptor.size_class is SizeClass.SMALL
+    assert load_dataset(path) == b"hello world\n" * 10

@@ -10,7 +10,6 @@ import hybc.bench as bench_mod
 import hybc.cli as cli_mod
 from hybc.bench import MEASUREMENT_COLUMNS, BenchRow, measurements_report
 from hybc.codecs import CodecId
-from hybc.corpus import DatasetDescriptor, classify_size
 from hybc.errors import CodecFailure, InvalidUtf8
 from hybc.metrics import DsBasis, Measurement
 from hybc.pipeline import pipeline_from_name
@@ -282,8 +281,7 @@ def golden_bench(monkeypatch):
         name = Path(path).stem
         if name not in _GOLDEN_SIZES:
             raise InvalidUtf8(3, f"{name}: invalid UTF-8 at byte 3")
-        n = _GOLDEN_SIZES[name]
-        return DatasetDescriptor(name, classify_size(n), n, 1.0), bytes(n)
+        return bytes(_GOLDEN_SIZES[name])
 
     def measure(spec, data, repetitions, *, dataset="data", **kwargs):
         cell = _GOLDEN_CELLS[dataset][spec.display_name]
