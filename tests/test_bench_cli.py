@@ -239,13 +239,29 @@ def test_cli_bench_partial_failure_exits_nonzero(runner, tmp_path, tiny_text):
         ["bench", "x.txt", "--pipelines", "Zstd+Snappy"],
         ["bench", "x.txt", "--format", "csv,pdf"],
         ["bench", "x.txt", "--ds-basis", "both"],
-        ["bench"],
-        ["bench", "x.txt", "--reps", "0"],
-        ["bench", "x.txt", "--format", ","],
         ["bench", "x.txt", "--pipelines", "Zstd,LZ4HC,zstd"],
     ],
 )
 def test_cli_bench_usage_errors(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"inputs": []},
+        {"inputs": ["x.txt"], "reps": "0"},
+        {"inputs": ["x.txt"], "format": ","},
+        {"inputs": ["x.txt"], "format": "csv,pdf"},
+    ],
+)
+def test_bench_config_validation(runner, kwargs):
+    """hybc bench rejects a run with no inputs, no repetitions or no valid format."""
+    args = ["bench", *kwargs["inputs"]]
+    for option, value in kwargs.items():
+        if option != "inputs":
+            args += [f"--{option}", value]
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
 
