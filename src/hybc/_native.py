@@ -1,9 +1,11 @@
 """ctypes bindings for the system zstd, brotli, and lz4 shared libraries.
 
-Only the small one-shot surface this package needs is bound. Decompression
-uses the streaming entry points so that output buffers grow with the data
-actually decoded; a corrupted size claim can therefore never trigger a huge
-upfront allocation.
+Only the small one-shot surface this package needs is bound. Where a stream
+declares its decoded size (the zstd frame header, the LZ4HC length prefix),
+the size is checked against the largest expansion the format allows, one
+buffer of exactly that size is allocated and the stream is decoded in one
+call; a corrupted size claim therefore never triggers a huge allocation.
+Brotli declares no size, so it is decoded in bounded chunks.
 """
 from __future__ import annotations
 
@@ -11,13 +13,13 @@ import ctypes
 import ctypes.util
 from ctypes import (
     POINTER,
-    Structure,
     byref,
     c_char_p,
     c_int,
     c_size_t,
     c_ubyte,
     c_uint,
+    c_ulonglong,
     c_void_p,
     create_string_buffer,
 )
@@ -59,19 +61,15 @@ _zstd.ZSTD_isError.restype = c_uint
 _zstd.ZSTD_isError.argtypes = [c_size_t]
 _zstd.ZSTD_getErrorName.restype = c_char_p
 _zstd.ZSTD_getErrorName.argtypes = [c_size_t]
-_zstd.ZSTD_createDStream.restype = c_void_p
-_zstd.ZSTD_createDStream.argtypes = []
-_zstd.ZSTD_freeDStream.restype = c_size_t
-_zstd.ZSTD_freeDStream.argtypes = [c_void_p]
-_zstd.ZSTD_initDStream.restype = c_size_t
-_zstd.ZSTD_initDStream.argtypes = [c_void_p]
-_zstd.ZSTD_decompressStream.restype = c_size_t
-_zstd.ZSTD_decompressStream.argtypes = [c_void_p, c_void_p, c_void_p]
+_zstd.ZSTD_getFrameContentSize.restype = c_ulonglong
+_zstd.ZSTD_getFrameContentSize.argtypes = [c_char_p, c_size_t]
+_zstd.ZSTD_findFrameCompressedSize.restype = c_size_t
+_zstd.ZSTD_findFrameCompressedSize.argtypes = [c_char_p, c_size_t]
+_zstd.ZSTD_decompress.restype = c_size_t
+_zstd.ZSTD_decompress.argtypes = [c_void_p, c_size_t, c_char_p, c_size_t]
 
-
-class _ZstdBuffer(Structure):
-    # Shared layout of ZSTD_inBuffer / ZSTD_outBuffer.
-    _fields_ = [("ptr", c_void_p), ("size", c_size_t), ("pos", c_size_t)]
+# ZSTD_CONTENTSIZE_ERROR; ZSTD_CONTENTSIZE_UNKNOWN is the one value above it.
+_ZSTD_CONTENTSIZE_ERROR = 2**64 - 2
 
 
 def _zstd_error(code: int) -> str:
@@ -93,37 +91,21 @@ def zstd_compress(data: bytes, level: int) -> bytes:
 
 
 def zstd_decompress(data: bytes) -> bytes:
-    if not data:
-        raise CorruptStream("zstd: empty input is not a frame")
-    handle = _zstd.ZSTD_createDStream()
-    if not handle:
-        raise CodecFailure("zstd: cannot allocate decompression stream")
-    try:
-        code = _zstd.ZSTD_initDStream(handle)
-        if _zstd.ZSTD_isError(code):
-            raise CodecFailure(f"zstd init: {_zstd_error(code)}")
-        src = c_char_p(data)
-        inbuf = _ZstdBuffer(ctypes.cast(src, c_void_p), len(data), 0)
-        out = create_string_buffer(_OUT_CHUNK)
-        chunks: list[bytes] = []
-        while True:
-            outbuf = _ZstdBuffer(ctypes.cast(out, c_void_p), _OUT_CHUNK, 0)
-            in_before = inbuf.pos
-            code = _zstd.ZSTD_decompressStream(handle, byref(outbuf), byref(inbuf))
-            if _zstd.ZSTD_isError(code):
-                raise CorruptStream(f"zstd: {_zstd_error(code)}")
-            if outbuf.pos:
-                chunks.append(out.raw[: outbuf.pos])
-            if code == 0:
-                if inbuf.pos != inbuf.size:
-                    raise CorruptStream("zstd: trailing bytes after frame end")
-                return b"".join(chunks)
-            if inbuf.pos == inbuf.size and outbuf.pos < outbuf.size:
-                raise CorruptStream("zstd: truncated frame")
-            if outbuf.pos == 0 and inbuf.pos == in_before:
-                raise CorruptStream("zstd: decoder stalled")
-    finally:
-        _zstd.ZSTD_freeDStream(handle)
+    """Decode data, which must be exactly one zstd frame declaring its size."""
+    declared = _zstd.ZSTD_getFrameContentSize(data, len(data))
+    if declared >= _ZSTD_CONTENTSIZE_ERROR:
+        raise CorruptStream("zstd: no frame header declaring the decoded size")
+    # A block decodes to at most 128 KiB and costs at least 4 bytes (an RLE
+    # block: 3-byte header plus the repeated byte), so no frame expands further.
+    if declared > 128 * 1024 // 4 * len(data):
+        raise CorruptStream("zstd: declared size implausible for frame length")
+    if _zstd.ZSTD_findFrameCompressedSize(data, len(data)) != len(data):
+        raise CorruptStream("zstd: truncated frame or trailing bytes")
+    out = create_string_buffer(max(declared, 1))
+    n = _zstd.ZSTD_decompress(out, declared, data, len(data))
+    if _zstd.ZSTD_isError(n):  # includes a frame decoding to other than declared
+        raise CorruptStream(f"zstd: {_zstd_error(n)}")
+    return out.raw[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +230,9 @@ def lz4hc_compress_block(data: bytes, level: int) -> bytes:
 
 def lz4_decompress_block(block: bytes, decoded_size: int) -> bytes:
     """Decode one raw LZ4 block that must expand to exactly decoded_size bytes."""
-    if decoded_size < 0 or decoded_size > LZ4_MAX_INPUT_SIZE:
-        raise CorruptStream("lz4: implausible decoded size")
+    # A sequence cannot expand past ~255x, so a larger claim is corrupt.
+    if not 0 <= decoded_size <= min(LZ4_MAX_INPUT_SIZE, 255 * len(block) + 64):
+        raise CorruptStream("lz4: declared size implausible for block length")
     out = create_string_buffer(max(decoded_size, 1))
     n = _lz4.LZ4_decompress_safe(block, out, len(block), decoded_size)
     if n != decoded_size:

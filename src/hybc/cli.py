@@ -200,15 +200,20 @@ def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head)
     with different weights or speed basis, without re-benchmarking."""
     raw = _read_bytes(measurements_file)
     try:
-        measurements = read_measurements(json.loads(raw))
+        doc = json.loads(raw)
+        measurements = read_measurements(doc)
         rankings = rank_by_dataset(measurements, weights, ds_basis)
+        environment = doc.get("environment", {})
+        if not isinstance(environment, dict):
+            raise TypeError(f"environment {environment!r} is not an object")
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.ClickException(f"bad measurements file: {exc}") from exc
     if not measurements:
         raise click.ClickException("measurements file holds no successful rows")
     if not rankings:
         raise click.ClickException("no dataset has the 2+ rows needed for ranking")
-    metadata = environment_metadata(ds_basis=ds_basis, weights=weights)
+    own = environment_metadata(ds_basis=ds_basis, weights=weights)
+    metadata = {**environment, "ds_basis": own["ds_basis"], "weights": own["weights"]}
     try:
         written = write_analysis_reports(
             rankings, Path(out_dir), formats, weights, head_to_head, metadata

@@ -59,10 +59,6 @@ _CONFIGS = {
 # here is an 8-byte little-endian original length followed by one HC block.
 _LZ4_PREFIX = struct.Struct("<Q")
 
-# A block format sequence cannot expand past ~255x, so any declared size far
-# beyond that means the prefix is corrupt; reject before allocating.
-_LZ4_MAX_RATIO = 255
-
 
 def codec_params(codec: CodecId) -> CodecConfig:
     """Return the fixed configuration row for a codec."""
@@ -135,7 +131,4 @@ def _lz4_decompress(stream: bytes) -> bytes:
     if len(stream) < _LZ4_PREFIX.size:
         raise CorruptStream("lz4: stream shorter than its length prefix")
     (declared,) = _LZ4_PREFIX.unpack_from(stream)
-    block = stream[_LZ4_PREFIX.size:]
-    if declared > _LZ4_MAX_RATIO * len(block) + 64:
-        raise CorruptStream("lz4: declared size implausible for block length")
-    return _native.lz4_decompress_block(block, declared)
+    return _native.lz4_decompress_block(stream[_LZ4_PREFIX.size:], declared)

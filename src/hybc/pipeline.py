@@ -118,18 +118,11 @@ def parse_header(buf: bytes) -> ContainerHeader:
         raise BadMagic(f"not a container (magic {magic!r})")
     if version != CONTAINER_VERSION or reserved != 0:
         raise UnsupportedVersion(f"container version {version} not supported")
-    if not 1 <= first <= 5:
-        raise InvalidCodecByte(f"first codec byte {first} out of range")
-    if not 0 <= second <= 5:
-        raise InvalidCodecByte(f"second codec byte {second} out of range")
-    if second != 0 and second == first:
-        raise InvalidCodecByte("first and second codec bytes are equal")
-    return ContainerHeader(
-        first_codec=CodecId(first),
-        second_codec=CodecId(second) if second else None,
-        original_len=length,
-        original_crc32=crc,
-    )
+    try:
+        spec = PipelineSpec(first, second or None)
+    except ValueError as exc:
+        raise InvalidCodecByte(f"codec bytes {first}, {second}: {exc}") from None
+    return ContainerHeader(spec.first, spec.second, length, crc)
 
 
 def compress_pipeline(spec: PipelineSpec, data: bytes) -> bytes:

@@ -111,14 +111,28 @@ def test_bench_duplicate_stems_get_distinct_names(tmp_path, tiny_text):
     assert {r.dataset for r in rows} == {"data", "data_2"}
 
 
-def test_traced_run_targets_resolve(monkeypatch):
-    """Every name the traced benchmark run patches still exists and is callable."""
+@pytest.fixture()
+def layers(monkeypatch):
+    """perfbench/layers.py, the traced benchmark run, which calls hybc directly."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    layers = importlib.import_module("layers")
+    return importlib.import_module("layers")
+
+
+def test_traced_run_targets_resolve(layers):
+    """Every name the traced benchmark run patches still exists and is callable."""
     targets = layers.span_targets(layers.SampleRecorder())
     assert targets
     for module, attr, _, _ in targets:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_traced_run_layer_calls_succeed(layers, small_corpus):
+    """The traced run's direct calls into _native, codecs and pipeline still
+    work with the names and arguments it uses, and every result checks out."""
+    ledger = layers.plan.Ledger()
+    layers.layer_timings(small_corpus[:8192], {}, ledger.check)
+    assert ledger.attempted > 0
+    assert ledger.failed == 0, ledger.errors
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +326,8 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         _measurements_doc({"original_bytes": float("inf")}, {"pipeline": "LZMA"}),
         _measurements_doc({"pipeline": 5}, {"pipeline": "LZMA"}),
         _measurements_doc({}, {"pipeline": "zstd", "compress_seconds": 0.02}),
+        json.dumps({"rows": [_OK_ROW, _OK_ROW | {"pipeline": "LZMA"}],
+                    "environment": ["not", "an", "object"]}).encode(),
     ]
     bad = tmp_path / "bad.json"
     for payload in hostile:
@@ -320,6 +336,39 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         assert result.exit_code == 1, payload
         assert isinstance(result.exception, SystemExit), payload  # no traceback
         assert "bad measurements file: " in result.output, payload
+
+
+def test_cli_report_keeps_the_measuring_environment(runner, three_corpora, tmp_path):
+    out = tmp_path / "bench"
+    assert runner.invoke(
+        main,
+        ["bench", str(three_corpora[0]), "--pipelines", "Zstd,LZ4HC", "--reps", "1",
+         "--format", "json", "--out", str(out)],
+    ).exit_code == 0
+    measurements = out / "measurements.json"
+    doc = json.loads(measurements.read_text())
+    doc["environment"]["codec_library_versions"] = {"zstd": "0.0.1-measuring-host"}
+    doc["environment"]["repetitions"] = 7
+    measurements.write_text(json.dumps(doc))
+
+    def reranked_environment(name: str) -> dict:
+        result = runner.invoke(
+            main,
+            ["report", str(measurements), "--weights", "0.8,0.1,0.1", "--ds-basis", "original",
+             "--format", "json", "--out", str(tmp_path / name)],
+        )
+        assert result.exit_code == 0, result.output
+        return json.loads((tmp_path / name / "ranking_corpus_0.json").read_text())["environment"]
+
+    settings = {"ds_basis": "original", "weights": {"cr": 0.8, "cs": 0.1, "ds": 0.1}}
+    env = reranked_environment("kept")
+    assert env["codec_library_versions"] == {"zstd": "0.0.1-measuring-host"}
+    assert env["repetitions"] == 7
+    assert env == doc["environment"] | settings
+
+    del doc["environment"]
+    measurements.write_text(json.dumps(doc))
+    assert reranked_environment("absent") == settings
 
 
 def test_cli_out_naming_a_file_fails_cleanly(runner, tmp_path, tiny_text, monkeypatch):

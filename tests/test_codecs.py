@@ -1,9 +1,11 @@
+import ctypes
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybc import _native
 from hybc.codecs import (
     CodecId,
     codec_params,
@@ -17,6 +19,35 @@ ALL_CODECS = list(CodecId)
 
 # 1024 three-byte characters
 REPETITIVE = ("अ" * 1024).encode("utf-8")
+
+
+def _zstd_frame_without_content_size(data: bytes) -> bytes:
+    """A valid zstd frame whose header omits the decoded size, as streaming
+    encoders write it; hybc's own encoder always records the size."""
+    lib = ctypes.CDLL(_native._zstd._name)
+    lib.ZSTD_createCCtx.restype = ctypes.c_void_p
+    lib.ZSTD_CCtx_setParameter.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
+    lib.ZSTD_compress2.restype = ctypes.c_size_t
+    lib.ZSTD_compress2.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_size_t,
+    ]
+    lib.ZSTD_freeCCtx.argtypes = [ctypes.c_void_p]
+    cctx = lib.ZSTD_createCCtx()
+    try:
+        assert lib.ZSTD_CCtx_setParameter(cctx, 200, 0) == 0  # ZSTD_c_contentSizeFlag
+        dst = ctypes.create_string_buffer(len(data) + 64)
+        n = lib.ZSTD_compress2(cctx, dst, len(dst), data, len(data))
+        assert n < len(dst)  # not an error code
+        return dst.raw[:n]
+    finally:
+        lib.ZSTD_freeCCtx(cctx)
+
+
+def _zstd_frame_declaring(size: int) -> bytes:
+    """hybc's frame of a short text with its declared size rewritten."""
+    frame = compress_one(CodecId.ZSTD, b"small payload")
+    assert frame[4] == 0x20  # single segment, 1-byte content size field
+    return frame[:4] + bytes([0xE0]) + struct.pack("<Q", size) + frame[6:]
 
 
 def test_exactly_five_codecs():
@@ -71,10 +102,17 @@ def test_random_buffer_round_trip(codec, random_64k):
     assert decompress_one(codec, stream) == random_64k
 
 
-@pytest.mark.parametrize("codec", ALL_CODECS)
-def test_garbage_input_rejected(codec):
+@pytest.mark.parametrize("codec,stream", [
+    *[pytest.param(c, bytes(range(16)), id=str(int(c))) for c in ALL_CODECS],
+    # a zstd stream must declare its decoded size, and no more than 32,768x
+    # its length, or it is rejected before anything is allocated
+    pytest.param(CodecId.ZSTD, _zstd_frame_without_content_size(REPETITIVE),
+                 id="zstd-no-content-size"),
+    pytest.param(CodecId.ZSTD, _zstd_frame_declaring(1 << 62), id="zstd-declares-2^62"),
+])
+def test_garbage_input_rejected(codec, stream):
     with pytest.raises(CorruptStream):
-        decompress_one(codec, bytes(range(16)))
+        decompress_one(codec, stream)
 
 
 @pytest.mark.parametrize("codec", ALL_CODECS)
@@ -95,11 +133,15 @@ def test_no_state_leak_between_calls(codec, tiny_text, random_64k):
     assert compress_one(codec, tiny_text) == alone
 
 
-@pytest.mark.parametrize("codec", ALL_CODECS)
-def test_trailing_bytes_rejected(codec, tiny_text):
+@pytest.mark.parametrize("codec,trailer", [
+    *[pytest.param(c, b"\x00\x01\x02\x03", id=str(int(c))) for c in ALL_CODECS],
+    # a second frame, even one decoding to nothing, is trailing bytes too
+    pytest.param(CodecId.ZSTD, compress_one(CodecId.ZSTD, b""), id="zstd-two-frames"),
+])
+def test_trailing_bytes_rejected(codec, trailer, tiny_text):
     stream = compress_one(codec, tiny_text)
     with pytest.raises(CorruptStream):
-        decompress_one(codec, stream + b"\x00\x01\x02\x03")
+        decompress_one(codec, stream + trailer)
 
 
 @settings(max_examples=40, deadline=None)

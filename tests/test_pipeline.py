@@ -11,6 +11,7 @@ from hybc.codecs import CodecId, compress_one, library_versions
 from hybc.errors import (
     BadMagic,
     CorruptStream,
+    HybcError,
     IntegrityMismatch,
     InvalidCodecByte,
     TruncatedContainer,
@@ -226,6 +227,38 @@ def test_payload_corruption_never_silent(spec, tiny_text):
         except (CorruptStream, IntegrityMismatch):
             continue
         assert restored == tiny_text, f"wrong bytes returned (offset {offset})"
+
+
+# Every single-codec chain plus the chained Zstd + LZ4HC, over a short text.
+_FUZZ_CONTAINERS = [
+    compress_pipeline(spec, "अक्षर text ".encode() * 30)
+    for spec in [PipelineSpec(c) for c in CodecId] + [PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)]
+]
+
+
+@st.composite
+def _damaged_containers(draw) -> bytes:
+    container = draw(st.sampled_from(_FUZZ_CONTAINERS))
+    damage = draw(st.sampled_from(["mutate", "truncate", "payload"]))
+    if damage == "truncate":
+        return container[: draw(st.integers(0, len(container) - 1))]
+    if damage == "payload":  # random bytes behind a valid header
+        return container[:HEADER_LEN] + draw(st.binary(max_size=512))
+    buf = bytearray(container)
+    for _ in range(draw(st.integers(1, 4))):
+        buf[draw(st.integers(0, len(buf) - 1))] = draw(st.integers(0, 255))
+    return bytes(buf)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(blob=_damaged_containers())
+def test_damaged_container_raises_only_hybc_errors(blob):
+    # whatever the bytes, decoding either succeeds or fails with HybcError;
+    # any other exception escaping (MemoryError, ValueError, ...) is a bug
+    try:
+        decompress_pipeline(blob)
+    except HybcError:
+        pass
 
 
 # Zstd + LZ4HC container of generate_synthetic(SMALL, 42), written by

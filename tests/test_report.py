@@ -226,31 +226,31 @@ _GOLDEN_DIGESTS = {
     },
     "report-default": {
         "balance_alpha.csv": "077deb5eb80c030e005d18f6cc5204599ce1a9c563a3dac2d27f0670df4c4f39",
-        "balance_alpha.json": "4e7e4cbe0a5f7a85cabdf2d795080c888e53bc861eab387172deb75c85e77bc8",
+        "balance_alpha.json": "21f390ea62532d95bc25680772a7ae2ae7e38b3ed46862b55183bf6fe4392803",
         "balance_alpha.md": "bd0ea82146b94c0ec62502382a2294e0855a1aeb353e1c3f969ba54f16570579",
         "balance_alpha.svg": "1d84b0c79b1b2f8b609fd231346fb8efecb3df936f4a7506b7b6e5c43f38ccdc",
         "balance_beta.csv": "7203cfb3f2e43f64ac0d35fac2b1c4f6cb5e398d3f076b47dbd555079dc1dfb8",
-        "balance_beta.json": "d33c9f88dd0188e30d79e4b7556fe3df3486050883eee21384dd36ae35fc6cc2",
+        "balance_beta.json": "cc287374290f95b3536da4379157b9476430b611bb58aa3bc39df55846b0a1b9",
         "balance_beta.md": "fc5e62e4bc092dc870a2a51086ab8cf023664f5c1930963003b1f44fd079c210",
         "balance_beta.svg": "f085e7a0c567ce51d19539671daab06a2c8a38810483ed2018c72b139dd65f64",
         "frequency.csv": "8ab39ecdad32f8a64ca8ecc8f6cc794c1c3eb3b1cfe93017cd39b08320895acf",
-        "frequency.json": "2faccb6813db0d201f85c4e96d119c5e429e35cd4eb20550a3a966fa59d2a1ad",
+        "frequency.json": "f843c569a16b19085e10e7291bc306fa4b29885b99c907b7f23d781628db2ba4",
         "frequency.md": "91403b089c0dd4c5817ba939e91201e2f594089a3039fa8cf94ebb3572f44a32",
         "frequency.svg": "82b89a8b29c7fc4888edacc7330c41cc54851999635182021f4fa2dc243cfacd",
         "head_to_head_alpha.csv": "508421fba226773da24df7b13fd9c988e1c67742f1f21453930eb45c5d4eceb8",
-        "head_to_head_alpha.json": "a268594d0f9f85eb7aff07eebd62f9567701f58a10bc4a681a0a292ae91be938",
+        "head_to_head_alpha.json": "6e4a0f225f5538c48b699aedfdab3f2f7cc097f9c5533aacc5d6b2958de80414",
         "head_to_head_alpha.md": "4f25e5cbfa3e2b486ebf3ab2b88ad01dbf0d69f5bb7face0f252c2fb0dc5aa3e",
         "head_to_head_alpha.svg": "b89abb047bb48cc76e8798d10d45c700fa92e67efaceade99cc39f08e9bca5b6",
         "head_to_head_beta.csv": "8e746003854583d943bf022f38d8a8e8dd7689b6e04563769e7bd253e195447b",
-        "head_to_head_beta.json": "db89a56e01fc80d89ff67890d67794953a26f364da5195ad8d2b42325d7f832d",
+        "head_to_head_beta.json": "925d989fb58b3933ac92f642608f7e6e5cf0ee53cc1c250419c2bc859b09c3a8",
         "head_to_head_beta.md": "33491523cac446e5512222252873db89a55affb50d6e21777eb8ed474ac10e39",
         "head_to_head_beta.svg": "8367fa5ba852f10617507fd5f81ab9f2a8b75ad8490081863e36837b0d3acf48",
         "ranking_alpha.csv": "1d227049a4208b6c87480a9e1b81543ead79c9c257a3b1a6bde7a88d891d9133",
-        "ranking_alpha.json": "ab2a01d5915b5a5fd3d765f2f87865f67e517c4e2e08fb159ed372d2060ba4d0",
+        "ranking_alpha.json": "29bc05ca0372f927cb5c32f13aa84ba779099c9bc7ebc3f8298aaed58e30a81e",
         "ranking_alpha.md": "3aae377d4dbdd2fd3b926356401e45acd366fc48289ffad6d7fa2ac85c98bc64",
         "ranking_alpha.svg": "7d20018d429cf4e38ae9f4c1bcbf3e95a5657348ba709b87ddd7a0ceaaf0ec5a",
         "ranking_beta.csv": "c1efc4d5de6f0f06078358c941b76961c3a898fba62309cfd4833395d4c6e33e",
-        "ranking_beta.json": "b2131f2fdf533d52f5ae48d62d71e92638e2a8e9d48d8d2fa337ebc18c5ffffd",
+        "ranking_beta.json": "50c214c4328b907eb8248fa65982060feff4bac3861cf416c1a8c8ac79df903b",
         "ranking_beta.md": "2ffca08897798c5399b948d7e479d1a4c6e5ca7fdfeabe2a7b7ce2f752c84aa9",
         "ranking_beta.svg": "60ec199b8a96716840b52e992efbbedff8fbd36735beb15a1ce5ad7697c93e2a",
     },
