@@ -1,32 +1,34 @@
 """ctypes bindings for the system zstd, brotli, and lz4 shared libraries.
 
-Only the small one-shot surface this package needs is bound. Where a stream
-declares its decoded size (the zstd frame header, the LZ4HC length prefix),
-the size is checked against the largest expansion the format allows, one
-buffer of exactly that size is allocated and the stream is decoded in one
-call; a corrupted size claim therefore never triggers a huge allocation.
-Brotli declares no size, so it is decoded in bounded chunks.
+Only the small one-shot surface this package needs is bound. Buffers are
+passed to the libraries in place, so inputs may be bytes, bytearray or a
+memoryview and are never copied. A decoder writes into one bytearray and
+returns it; an encoder copies out only the bytes it wrote. A decoder takes an
+optional cap, the most bytes its output may hold. Where a stream declares its decoded size (the zstd frame header, the
+LZ4HC length prefix), the size is checked against the largest expansion the
+format allows and against the cap before the buffer of exactly that size is
+allocated; a corrupted size claim therefore never triggers a huge allocation.
+Brotli declares no size, so its buffer grows geometrically with the output it
+really produces and never past the cap.
 """
 from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import sys
 from ctypes import (
     POINTER,
     byref,
     c_char_p,
     c_int,
     c_size_t,
-    c_ubyte,
+    c_ssize_t,
     c_uint,
     c_ulonglong,
     c_void_p,
-    create_string_buffer,
 )
 
 from .errors import CodecFailure, CorruptStream
-
-_OUT_CHUNK = 128 * 1024
 
 # Upper bound on a single LZ4 block, from the block format (LZ4_MAX_INPUT_SIZE).
 LZ4_MAX_INPUT_SIZE = 0x7E000000
@@ -47,6 +49,50 @@ def _load(*candidates: str) -> ctypes.CDLL:
 
 
 # ---------------------------------------------------------------------------
+# buffers
+
+
+class _PyBuffer(ctypes.Structure):
+    """CPython's Py_buffer, as PyObject_GetBuffer fills it."""
+
+    _fields_ = [
+        ("buf", c_void_p), ("obj", c_void_p), ("len", c_ssize_t),
+        ("itemsize", c_ssize_t), ("readonly", c_int), ("ndim", c_int),
+        ("format", c_char_p), ("shape", c_void_p), ("strides", c_void_p),
+        ("suboffsets", c_void_p), ("internal", c_void_p),
+    ]
+
+
+_get_buffer = ctypes.pythonapi.PyObject_GetBuffer
+_get_buffer.restype = c_int
+_get_buffer.argtypes = [ctypes.py_object, POINTER(_PyBuffer), c_int]
+_release_buffer = ctypes.pythonapi.PyBuffer_Release
+_release_buffer.restype = None
+_release_buffer.argtypes = [POINTER(_PyBuffer)]
+
+
+class _Pinned:
+    """``with _Pinned(data) as (address, length)``: a contiguous bytes-like
+    object's first byte and length, without copying it. Unlike
+    ``c_char.from_buffer`` this takes read-only and empty buffers too, and it
+    builds no ctypes array type (ctypes keeps each one forever). Until the
+    block ends, the object cannot be resized."""
+
+    __slots__ = ("_view", "_ref")
+
+    def __init__(self, data):
+        self._view = _PyBuffer()
+        self._ref = byref(self._view)
+        _get_buffer(data, self._ref, 0)  # PyBUF_SIMPLE; raises if not a buffer
+
+    def __enter__(self) -> tuple[int | None, int]:
+        return self._view.buf, self._view.len
+
+    def __exit__(self, *exc) -> None:
+        _release_buffer(self._ref)
+
+
+# ---------------------------------------------------------------------------
 # zstd
 
 _zstd = _load("libzstd.so.1", "libzstd.so", "libzstd.dylib")
@@ -56,17 +102,17 @@ _zstd.ZSTD_versionString.argtypes = []
 _zstd.ZSTD_compressBound.restype = c_size_t
 _zstd.ZSTD_compressBound.argtypes = [c_size_t]
 _zstd.ZSTD_compress.restype = c_size_t
-_zstd.ZSTD_compress.argtypes = [c_void_p, c_size_t, c_char_p, c_size_t, c_int]
+_zstd.ZSTD_compress.argtypes = [c_void_p, c_size_t, c_void_p, c_size_t, c_int]
 _zstd.ZSTD_isError.restype = c_uint
 _zstd.ZSTD_isError.argtypes = [c_size_t]
 _zstd.ZSTD_getErrorName.restype = c_char_p
 _zstd.ZSTD_getErrorName.argtypes = [c_size_t]
 _zstd.ZSTD_getFrameContentSize.restype = c_ulonglong
-_zstd.ZSTD_getFrameContentSize.argtypes = [c_char_p, c_size_t]
+_zstd.ZSTD_getFrameContentSize.argtypes = [c_void_p, c_size_t]
 _zstd.ZSTD_findFrameCompressedSize.restype = c_size_t
-_zstd.ZSTD_findFrameCompressedSize.argtypes = [c_char_p, c_size_t]
+_zstd.ZSTD_findFrameCompressedSize.argtypes = [c_void_p, c_size_t]
 _zstd.ZSTD_decompress.restype = c_size_t
-_zstd.ZSTD_decompress.argtypes = [c_void_p, c_size_t, c_char_p, c_size_t]
+_zstd.ZSTD_decompress.argtypes = [c_void_p, c_size_t, c_void_p, c_size_t]
 
 # ZSTD_CONTENTSIZE_ERROR; ZSTD_CONTENTSIZE_UNKNOWN is the one value above it.
 _ZSTD_CONTENTSIZE_ERROR = 2**64 - 2
@@ -81,31 +127,43 @@ def zstd_version() -> str:
     return _zstd.ZSTD_versionString().decode("ascii")
 
 
-def zstd_compress(data: bytes, level: int) -> bytes:
-    bound = _zstd.ZSTD_compressBound(len(data))
-    dst = create_string_buffer(bound)
-    code = _zstd.ZSTD_compress(dst, bound, data, len(data), level)
-    if _zstd.ZSTD_isError(code):
-        raise CodecFailure(f"zstd compress: {_zstd_error(code)}")
-    return dst.raw[:code]
+def zstd_bound(n: int) -> int:
+    """ZSTD_compressBound: the longest frame n input bytes compress to."""
+    return _zstd.ZSTD_compressBound(n)
 
 
-def zstd_decompress(data: bytes) -> bytes:
-    """Decode data, which must be exactly one zstd frame declaring its size."""
-    declared = _zstd.ZSTD_getFrameContentSize(data, len(data))
-    if declared >= _ZSTD_CONTENTSIZE_ERROR:
-        raise CorruptStream("zstd: no frame header declaring the decoded size")
-    # A block decodes to at most 128 KiB and costs at least 4 bytes (an RLE
-    # block: 3-byte header plus the repeated byte), so no frame expands further.
-    if declared > 128 * 1024 // 4 * len(data):
-        raise CorruptStream("zstd: declared size implausible for frame length")
-    if _zstd.ZSTD_findFrameCompressedSize(data, len(data)) != len(data):
-        raise CorruptStream("zstd: truncated frame or trailing bytes")
-    out = create_string_buffer(max(declared, 1))
-    n = _zstd.ZSTD_decompress(out, declared, data, len(data))
-    if _zstd.ZSTD_isError(n):  # includes a frame decoding to other than declared
-        raise CorruptStream(f"zstd: {_zstd_error(n)}")
-    return out.raw[:n]
+def zstd_compress(data, level: int) -> bytes:
+    with _Pinned(data) as (src, n):
+        bound = zstd_bound(n)
+        dst = bytearray(bound)
+        with _Pinned(dst) as (out, _):
+            code = _zstd.ZSTD_compress(out, bound, src, n, level)
+            if _zstd.ZSTD_isError(code):
+                raise CodecFailure(f"zstd compress: {_zstd_error(code)}")
+            return ctypes.string_at(out, code)
+
+
+def zstd_decompress(data, cap: int = sys.maxsize) -> bytearray:
+    """Decode data, which must be exactly one zstd frame declaring its size,
+    to at most cap bytes."""
+    with _Pinned(data) as (src, n):
+        declared = _zstd.ZSTD_getFrameContentSize(src, n)
+        if declared >= _ZSTD_CONTENTSIZE_ERROR:
+            raise CorruptStream("zstd: no frame header declaring the decoded size")
+        # A block decodes to at most 128 KiB and costs at least 4 bytes (an RLE
+        # block: 3-byte header plus the repeated byte), so no frame expands further.
+        if declared > 128 * 1024 // 4 * n:
+            raise CorruptStream("zstd: declared size implausible for frame length")
+        if declared > cap:
+            raise CorruptStream(f"zstd: frame declares {declared} bytes, more than the {cap} allowed")
+        if _zstd.ZSTD_findFrameCompressedSize(src, n) != n:
+            raise CorruptStream("zstd: truncated frame or trailing bytes")
+        out = bytearray(declared)
+        with _Pinned(out) as (dst, _):
+            code = _zstd.ZSTD_decompress(dst, declared, src, n)
+    if _zstd.ZSTD_isError(code):  # includes a frame decoding to other than declared
+        raise CorruptStream(f"zstd: {_zstd_error(code)}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +173,6 @@ _brenc = _load("libbrotlienc.so.1", "libbrotlienc.so", "libbrotlienc.dylib")
 _brdec = _load("libbrotlidec.so.1", "libbrotlidec.so", "libbrotlidec.dylib")
 
 _BROTLI_MODE_GENERIC = 0
-_BROTLI_RESULT_ERROR = 0
 _BROTLI_RESULT_SUCCESS = 1
 _BROTLI_RESULT_NEEDS_MORE_INPUT = 2
 _BROTLI_RESULT_NEEDS_MORE_OUTPUT = 3
@@ -126,7 +183,7 @@ _brenc.BrotliEncoderMaxCompressedSize.restype = c_size_t
 _brenc.BrotliEncoderMaxCompressedSize.argtypes = [c_size_t]
 _brenc.BrotliEncoderCompress.restype = c_int
 _brenc.BrotliEncoderCompress.argtypes = [
-    c_int, c_int, c_int, c_size_t, c_char_p, POINTER(c_size_t), c_void_p,
+    c_int, c_int, c_int, c_size_t, c_void_p, POINTER(c_size_t), c_void_p,
 ]
 _brdec.BrotliDecoderCreateInstance.restype = c_void_p
 _brdec.BrotliDecoderCreateInstance.argtypes = [c_void_p, c_void_p, c_void_p]
@@ -135,8 +192,8 @@ _brdec.BrotliDecoderDestroyInstance.argtypes = [c_void_p]
 _brdec.BrotliDecoderDecompressStream.restype = c_int
 _brdec.BrotliDecoderDecompressStream.argtypes = [
     c_void_p,
-    POINTER(c_size_t), POINTER(POINTER(c_ubyte)),
-    POINTER(c_size_t), POINTER(POINTER(c_ubyte)),
+    POINTER(c_size_t), POINTER(c_void_p),
+    POINTER(c_size_t), POINTER(c_void_p),
     POINTER(c_size_t),
 ]
 
@@ -146,51 +203,60 @@ def brotli_version() -> str:
     return f"{v >> 24}.{(v >> 12) & 0xFFF}.{v & 0xFFF}"
 
 
-def brotli_compress(data: bytes, quality: int, window_log: int) -> bytes:
-    bound = _brenc.BrotliEncoderMaxCompressedSize(len(data))
-    if bound == 0:
-        bound = len(data) + len(data) // 2 + 1024
-    dst = create_string_buffer(bound)
-    out_size = c_size_t(bound)
-    ok = _brenc.BrotliEncoderCompress(
-        quality, window_log, _BROTLI_MODE_GENERIC, len(data), data, byref(out_size), dst
-    )
-    if ok != 1:
-        raise CodecFailure("brotli compress: encoder reported failure")
-    return dst.raw[: out_size.value]
+def brotli_bound(n: int) -> int:
+    """BrotliEncoderMaxCompressedSize: the longest stream n input bytes
+    compress to (0 only where that size overflows size_t)."""
+    return _brenc.BrotliEncoderMaxCompressedSize(n)
 
 
-def brotli_decompress(data: bytes) -> bytes:
+def brotli_compress(data, quality: int, window_log: int) -> bytes:
+    with _Pinned(data) as (src, n):
+        bound = brotli_bound(n)
+        dst = bytearray(bound)
+        out_size = c_size_t(bound)
+        with _Pinned(dst) as (out, _):
+            ok = _brenc.BrotliEncoderCompress(
+                quality, window_log, _BROTLI_MODE_GENERIC, n, src, byref(out_size), out
+            )
+            if ok != 1:
+                raise CodecFailure("brotli compress: encoder reported failure")
+            return ctypes.string_at(out, out_size.value)
+
+
+def brotli_decompress(data, cap: int = sys.maxsize) -> bytearray:
+    """Decode one brotli stream to at most cap bytes. The output buffer starts
+    at four times the stream length plus 1 KiB and doubles while the decoder
+    asks for more room, so its size follows the real output, not the cap."""
     handle = _brdec.BrotliDecoderCreateInstance(None, None, None)
     if not handle:
         raise CodecFailure("brotli: cannot allocate decoder")
     try:
-        src = (c_ubyte * len(data)).from_buffer_copy(data) if data else (c_ubyte * 1)()
-        next_in = ctypes.cast(src, POINTER(c_ubyte))
-        avail_in = c_size_t(len(data))
-        chunks: list[bytes] = []
-        while True:
-            out = (c_ubyte * _OUT_CHUNK)()
-            next_out = ctypes.cast(out, POINTER(c_ubyte))
-            avail_out = c_size_t(_OUT_CHUNK)
-            total = c_size_t(0)
-            res = _brdec.BrotliDecoderDecompressStream(
-                handle,
-                byref(avail_in), byref(next_in),
-                byref(avail_out), byref(next_out),
-                byref(total),
-            )
-            written = _OUT_CHUNK - avail_out.value
-            if written:
-                chunks.append(ctypes.string_at(out, written))
-            if res == _BROTLI_RESULT_SUCCESS:
-                if avail_in.value:
-                    raise CorruptStream("brotli: trailing bytes after stream end")
-                return b"".join(chunks)
-            if res == _BROTLI_RESULT_NEEDS_MORE_INPUT:
-                raise CorruptStream("brotli: truncated stream")
-            if res != _BROTLI_RESULT_NEEDS_MORE_OUTPUT:
-                raise CorruptStream("brotli: invalid stream")
+        with _Pinned(data) as (src, n):
+            next_in, avail_in = c_void_p(src), c_size_t(n)
+            out = bytearray(min(4 * n + 1024, cap))
+            written = 0
+            while True:
+                with _Pinned(out) as (dst, size):
+                    next_out, avail_out = c_void_p(dst + written), c_size_t(size - written)
+                    res = _brdec.BrotliDecoderDecompressStream(
+                        handle,
+                        byref(avail_in), byref(next_in),
+                        byref(avail_out), byref(next_out),
+                        None,
+                    )
+                written = size - avail_out.value
+                if res == _BROTLI_RESULT_SUCCESS:
+                    if avail_in.value:
+                        raise CorruptStream("brotli: trailing bytes after stream end")
+                    del out[written:]
+                    return out
+                if res == _BROTLI_RESULT_NEEDS_MORE_INPUT:
+                    raise CorruptStream("brotli: truncated stream")
+                if res != _BROTLI_RESULT_NEEDS_MORE_OUTPUT:
+                    raise CorruptStream("brotli: invalid stream")
+                if size >= cap:
+                    raise CorruptStream(f"brotli: stream decodes to more than the {cap} bytes allowed")
+                out += bytes(min(size, cap - size))
     finally:
         _brdec.BrotliDecoderDestroyInstance(handle)
 
@@ -205,36 +271,45 @@ _lz4.LZ4_versionString.argtypes = []
 _lz4.LZ4_compressBound.restype = c_int
 _lz4.LZ4_compressBound.argtypes = [c_int]
 _lz4.LZ4_compress_HC.restype = c_int
-_lz4.LZ4_compress_HC.argtypes = [c_char_p, c_void_p, c_int, c_int, c_int]
+_lz4.LZ4_compress_HC.argtypes = [c_void_p, c_void_p, c_int, c_int, c_int]
 _lz4.LZ4_decompress_safe.restype = c_int
-_lz4.LZ4_decompress_safe.argtypes = [c_char_p, c_void_p, c_int, c_int]
+_lz4.LZ4_decompress_safe.argtypes = [c_void_p, c_void_p, c_int, c_int]
 
 
 def lz4_version() -> str:
     return _lz4.LZ4_versionString().decode("ascii")
 
 
-def lz4hc_compress_block(data: bytes, level: int) -> bytes:
+def lz4_bound(n: int) -> int:
+    """LZ4_compressBound: the longest block n input bytes compress to. It
+    takes a C int, which silently wraps, so the caller must first check that
+    n is at most LZ4_MAX_INPUT_SIZE."""
+    return _lz4.LZ4_compressBound(n)
+
+
+def lz4hc_compress_block(data, level: int) -> bytes:
     """Compress one raw LZ4 block (no framing; the caller records the size)."""
-    if len(data) > LZ4_MAX_INPUT_SIZE:
-        raise CodecFailure("lz4: input exceeds the single-block limit")
-    bound = _lz4.LZ4_compressBound(len(data))
-    if bound <= 0:
-        raise CodecFailure("lz4: cannot size output buffer")
-    dst = create_string_buffer(bound)
-    n = _lz4.LZ4_compress_HC(data, dst, len(data), bound, level)
-    if n <= 0:
-        raise CodecFailure(f"lz4: LZ4_compress_HC returned {n}")
-    return dst.raw[:n]
+    with _Pinned(data) as (src, n):
+        if n > LZ4_MAX_INPUT_SIZE:
+            raise CodecFailure("lz4: input exceeds the single-block limit")
+        bound = lz4_bound(n)
+        dst = bytearray(bound)
+        with _Pinned(dst) as (out, _):
+            written = _lz4.LZ4_compress_HC(src, out, n, bound, level)
+            if written <= 0:
+                raise CodecFailure(f"lz4: LZ4_compress_HC returned {written}")
+            return ctypes.string_at(out, written)
 
 
-def lz4_decompress_block(block: bytes, decoded_size: int) -> bytes:
+def lz4_decompress_block(block, decoded_size: int) -> bytearray:
     """Decode one raw LZ4 block that must expand to exactly decoded_size bytes."""
-    # A sequence cannot expand past ~255x, so a larger claim is corrupt.
-    if not 0 <= decoded_size <= min(LZ4_MAX_INPUT_SIZE, 255 * len(block) + 64):
-        raise CorruptStream("lz4: declared size implausible for block length")
-    out = create_string_buffer(max(decoded_size, 1))
-    n = _lz4.LZ4_decompress_safe(block, out, len(block), decoded_size)
-    if n != decoded_size:
-        raise CorruptStream(f"lz4: block decoded to {n} bytes, expected {decoded_size}")
-    return out.raw[:decoded_size]
+    with _Pinned(block) as (src, n):
+        # A sequence cannot expand past ~255x, so a larger claim is corrupt.
+        if not 0 <= decoded_size <= min(LZ4_MAX_INPUT_SIZE, 255 * n + 64):
+            raise CorruptStream("lz4: declared size implausible for block length")
+        out = bytearray(decoded_size)
+        with _Pinned(out) as (dst, _):
+            got = _lz4.LZ4_decompress_safe(src, dst, n, decoded_size)
+    if got != decoded_size:
+        raise CorruptStream(f"lz4: block decoded to {got} bytes, expected {decoded_size}")
+    return out

@@ -98,28 +98,53 @@ def compress_one(codec: CodecId, data: bytes) -> bytes:
         raise CodecFailure(f"{codec.canonical_name} encoder failed: {exc}") from exc
 
 
-def decompress_one(codec: CodecId, stream: bytes) -> bytes:
-    """Invert compress_one; raises CorruptStream when the input is not a
-    stream of the claimed codec."""
+def stream_bound(codec: CodecId, n: int) -> int:
+    """The longest stream compress_one(codec, data) writes for n input bytes;
+    decompress_pipeline caps the stream between two stages by it."""
+    codec = CodecId(codec)
+    if codec is CodecId.LZMA:
+        # After liblzma's lzma_stream_buffer_bound: 48 bytes of stream header,
+        # footer and index, 92 of block header and check, 3 of block padding
+        # and the LZMA2 end marker. Each LZMA2 chunk adds at most a 6-byte
+        # header; chunks end short of 64 KiB, so budget one per 32 KiB.
+        return n + 6 * (n // 32768 + 1) + 144
+    if codec is CodecId.ZSTD:
+        return _native.zstd_bound(n)
+    if codec is CodecId.BROTLI:
+        return _native.brotli_bound(n)
+    if codec is CodecId.BZIP2:
+        return n + (n + 99) // 100 + 600  # the bzip2 manual: 1% plus 600 bytes
+    if n > _native.LZ4_MAX_INPUT_SIZE:  # compress_one refuses such an input
+        raise CorruptStream(f"lz4: {n} bytes exceed the single-block limit")
+    return _LZ4_PREFIX.size + _native.lz4_bound(n)
+
+
+def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize) -> bytes | bytearray:
+    """Invert compress_one, decoding to at most cap bytes; raises
+    CorruptStream when the input is not a stream of the claimed codec or
+    decodes to more than cap bytes. The stream may be any bytes-like object;
+    Zstd, Brotli and LZ4HC return a bytearray, LZMA and Bzip2 bytes."""
     codec = CodecId(codec)
     if codec is CodecId.LZMA:
         return _stdlib_decompress(
-            lzma.LZMADecompressor(format=lzma.FORMAT_XZ), stream, "lzma"
+            lzma.LZMADecompressor(format=lzma.FORMAT_XZ), stream, cap, "lzma"
         )
     if codec is CodecId.ZSTD:
-        return _native.zstd_decompress(stream)
+        return _native.zstd_decompress(stream, cap)
     if codec is CodecId.BROTLI:
-        return _native.brotli_decompress(stream)
+        return _native.brotli_decompress(stream, cap)
     if codec is CodecId.BZIP2:
-        return _stdlib_decompress(bz2.BZ2Decompressor(), stream, "bzip2")
-    return _lz4_decompress(stream)
+        return _stdlib_decompress(bz2.BZ2Decompressor(), stream, cap, "bzip2")
+    return _lz4_decompress(stream, cap)
 
 
-def _stdlib_decompress(decomp, stream: bytes, name: str) -> bytes:
-    try:
-        out = decomp.decompress(stream)
+def _stdlib_decompress(decomp, stream, cap: int, name: str) -> bytes:
+    try:  # one byte past the cap is enough to tell that the stream exceeds it
+        out = decomp.decompress(stream, min(cap + 1, sys.maxsize))
     except Exception as exc:
         raise CorruptStream(f"{name}: {exc}") from exc
+    if len(out) > cap:
+        raise CorruptStream(f"{name}: stream decodes to more than the {cap} bytes allowed")
     if not decomp.eof:
         raise CorruptStream(f"{name}: truncated stream")
     if decomp.unused_data:
@@ -127,8 +152,10 @@ def _stdlib_decompress(decomp, stream: bytes, name: str) -> bytes:
     return out
 
 
-def _lz4_decompress(stream: bytes) -> bytes:
+def _lz4_decompress(stream, cap: int) -> bytearray:
     if len(stream) < _LZ4_PREFIX.size:
         raise CorruptStream("lz4: stream shorter than its length prefix")
     (declared,) = _LZ4_PREFIX.unpack_from(stream)
-    return _native.lz4_decompress_block(stream[_LZ4_PREFIX.size:], declared)
+    if declared > cap:
+        raise CorruptStream(f"lz4: prefix declares {declared} bytes, more than the {cap} allowed")
+    return _native.lz4_decompress_block(memoryview(stream)[_LZ4_PREFIX.size:], declared)

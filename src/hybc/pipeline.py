@@ -11,7 +11,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .codecs import CodecId, compress_one, decompress_one
+from .codecs import CodecId, compress_one, decompress_one, stream_bound
 from .errors import (
     BadMagic,
     IntegrityMismatch,
@@ -72,9 +72,10 @@ def pipeline_from_name(name: str) -> PipelineSpec:
         codecs = [_NAME_TO_CODEC[p] for p in parts]
     except KeyError as exc:
         raise ValueError(f"unknown codec {exc.args[0]!r} in {name!r}") from None
-    if len(codecs) == 2 and codecs[0] == codecs[1]:
-        raise ValueError(f"pipeline {name!r} repeats the same codec")
-    return PipelineSpec(codecs[0], codecs[1] if len(codecs) == 2 else None)
+    try:
+        return PipelineSpec(*codecs)
+    except ValueError as exc:
+        raise ValueError(f"pipeline {name!r}: {exc}") from None
 
 
 def enumerate_pipelines() -> list[PipelineSpec]:
@@ -139,13 +140,20 @@ def compress_pipeline(spec: PipelineSpec, data: bytes) -> bytes:
     return serialize_header(header) + payload
 
 
-def decompress_pipeline(container: bytes) -> bytes:
-    """Invert the recorded chain (second stage first) and verify integrity."""
+def decompress_pipeline(container) -> bytes | bytearray:
+    """Invert the recorded chain (second stage first) and verify integrity.
+
+    The header caps every stage before it allocates: the last stage may
+    decode to at most original_len bytes, and the stream between two stages
+    to at most what the first codec writes for original_len bytes. Each stage
+    decodes into one buffer of its own; the payload is read in place."""
     header = parse_header(container)
-    payload = container[HEADER_LEN:]
+    payload = memoryview(container)[HEADER_LEN:]
     if header.second_codec is not None:
-        payload = decompress_one(header.second_codec, payload)
-    data = decompress_one(header.first_codec, payload)
+        payload = decompress_one(
+            header.second_codec, payload, stream_bound(header.first_codec, header.original_len)
+        )
+    data = decompress_one(header.first_codec, payload, header.original_len)
     if len(data) != header.original_len:
         raise IntegrityMismatch(
             f"decoded {len(data)} bytes, header says {header.original_len}"

@@ -1,5 +1,6 @@
 import importlib
 import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,12 @@ from click.testing import CliRunner
 import hybc.bench as bench_mod
 from hybc.bench import rank_by_dataset, run_bench, write_reports
 from hybc.cli import main
+from hybc.codecs import CodecId, compress_one
 from hybc.errors import CodecFailure
 from hybc.metrics import DsBasis
-from hybc.pipeline import enumerate_pipelines, pipeline_from_name
+from hybc.pipeline import (
+    ContainerHeader, enumerate_pipelines, pipeline_from_name, serialize_header,
+)
 from hybc.scoring import DEFAULT_WEIGHTS
 
 
@@ -208,6 +212,21 @@ def test_cli_decompress_not_a_container(runner, tmp_path):
     result = runner.invoke(main, ["decompress", str(bogus), str(tmp_path / "o")])
     assert result.exit_code == 1
     assert "BadMagic" in result.output
+
+
+def test_cli_decompress_bomb_fails_in_one_line(runner, tmp_path):
+    # a header saying 10 bytes in front of a zstd frame of 8 MiB of zeros is
+    # refused by the header's cap, before the frame is decoded
+    header = ContainerHeader(CodecId.ZSTD, None, 10, zlib.crc32(bytes(10)))
+    bomb = tmp_path / "bomb.hybc"
+    bomb.write_bytes(serialize_header(header) + compress_one(CodecId.ZSTD, bytes(8 << 20)))
+    result = runner.invoke(main, ["decompress", str(bomb), str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert len(result.output.splitlines()) == 1
+    assert "CorruptStream" in result.output and "more than the 10 allowed" in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_bench_writes_reports(runner, three_corpora, tmp_path):

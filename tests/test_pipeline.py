@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybc.codecs import CodecId, compress_one, library_versions
+from hybc.codecs import CodecId, compress_one, library_versions, stream_bound
 from hybc.errors import (
     BadMagic,
     CorruptStream,
@@ -180,11 +181,17 @@ def test_hybrid_round_trip_example(tiny_text):
 
 
 def test_incompressible_input_expands_but_round_trips():
-    noise = random.Random(511).randbytes(1024)
-    for spec in (PipelineSpec(CodecId.LZ4HC), PipelineSpec(CodecId.LZMA, CodecId.BZIP2)):
-        container = compress_pipeline(spec, noise)
-        assert len(container) > len(noise)  # expansion is allowed, not an error
-        assert decompress_pipeline(container) == noise
+    # the caps decompress_pipeline derives from the header must never reject
+    # a container compress_pipeline wrote, even where every stage expands;
+    # length 0 matters because an empty buffer has no first byte to address
+    for length in (0, 1, 65537, (1 << 20) + 1):
+        noise = random.Random(511).randbytes(length)
+        for codec in CodecId:
+            assert len(compress_one(codec, noise)) <= stream_bound(codec, length), (codec, length)
+        for spec in enumerate_pipelines():
+            container = compress_pipeline(spec, noise)
+            assert len(container) > len(noise)  # expansion is allowed, not an error
+            assert decompress_pipeline(container) == noise, (spec.display_name, length)
 
 
 def test_decompress_rejects_bad_magic(tiny_text):
@@ -259,6 +266,64 @@ def test_damaged_container_raises_only_hybc_errors(blob):
         decompress_pipeline(blob)
     except HybcError:
         pass
+
+
+_SINGLES = [PipelineSpec(c) for c in CodecId]
+
+
+def _relabelled(container: bytes, original_len: int, crc: int) -> bytes:
+    """container with the header's original length and CRC-32 replaced."""
+    buf = bytearray(container)
+    struct.pack_into("<QI", buf, 8, original_len, crc)
+    return bytes(buf)
+
+
+def _decode_peak(container: bytes) -> tuple[int, HybcError | None]:
+    """tracemalloc peak of decompress_pipeline(container), and its HybcError."""
+    tracemalloc.start()
+    try:
+        decompress_pipeline(container)
+        error = None
+    except HybcError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, error
+
+
+@pytest.mark.parametrize(
+    "spec", _SINGLES + [PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)],
+    ids=lambda s: s.display_name,
+)
+def test_understated_header_allocates_nothing_big(spec):
+    # a header saying 10 bytes in front of a stream of 8 MiB of zeros: every
+    # stage is capped by the header, so the decode fails before the output
+    # grows; the baseline is a valid 10-byte container of the same chain,
+    # whose decode holds the codec's own state (LZMA's 8 MiB dictionary)
+    baseline, error = _decode_peak(compress_pipeline(spec, bytes(10)))
+    assert error is None
+    bomb = _relabelled(compress_pipeline(spec, bytes(8 << 20)), 10, zlib.crc32(bytes(10)))
+    peak, error = _decode_peak(bomb)
+    assert isinstance(error, HybcError)
+    assert peak < baseline + (1 << 20), f"peak {peak} B, baseline {baseline} B"
+
+
+@pytest.mark.parametrize(
+    "spec", _SINGLES + [PipelineSpec(CodecId.ZSTD, CodecId.BROTLI)],
+    ids=lambda s: s.display_name,
+)
+def test_overstated_header_raises_only_hybc_errors(spec):
+    # a valid payload behind a header claiming 2^40 bytes: a buffer sized
+    # from the header alone would raise MemoryError; sizes must also be
+    # bounded by what the stream itself proves
+    text = "अक्षर text ".encode() * 30
+    valid = compress_pipeline(spec, text)
+    baseline, error = _decode_peak(valid)
+    assert error is None
+    peak, error = _decode_peak(_relabelled(valid, 1 << 40, zlib.crc32(text)))
+    assert isinstance(error, HybcError)
+    assert peak < baseline + (1 << 20), f"peak {peak} B, baseline {baseline} B"
 
 
 # Zstd + LZ4HC container of generate_synthetic(SMALL, 42), written by
