@@ -3,18 +3,21 @@
 Only the small one-shot surface this package needs is bound. Buffers are
 passed to the libraries in place, so inputs may be bytes, bytearray or a
 memoryview and are never copied. A decoder writes into one bytearray and
-returns it; an encoder copies out only the bytes it wrote. A decoder takes an
-optional cap, the most bytes its output may hold. Where a stream declares its decoded size (the zstd frame header, the
-LZ4HC length prefix), the size is checked against the largest expansion the
-format allows and against the cap before the buffer of exactly that size is
-allocated; a corrupted size claim therefore never triggers a huge allocation.
-Brotli declares no size, so its buffer grows geometrically with the output it
-really produces and never past the cap.
+returns it. An encoder writes into an anonymous mapping of the compress bound,
+which the kernel backs only where the library writes, and copies out only the
+bytes it wrote; a bound is 0 where no stream of that input length can exist.
+A decoder takes an optional cap, the most bytes its output may hold. Where a
+stream declares its decoded size (the zstd frame header, the LZ4HC length
+prefix), it is checked against the largest expansion the format allows and
+against the cap before a buffer of exactly that size is allocated, so a
+corrupted size claim never triggers a huge allocation. Brotli declares no
+size, so its buffer grows geometrically with its real output, up to the cap.
 """
 from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import mmap
 import sys
 from ctypes import (
     POINTER,
@@ -128,15 +131,16 @@ def zstd_version() -> str:
 
 
 def zstd_bound(n: int) -> int:
-    """ZSTD_compressBound: the longest frame n input bytes compress to."""
-    return _zstd.ZSTD_compressBound(n)
+    """ZSTD_compressBound: the longest frame n input bytes compress to, or 0
+    where n is too large for a frame (the library returns an error code)."""
+    bound = _zstd.ZSTD_compressBound(n)
+    return 0 if _zstd.ZSTD_isError(bound) else bound
 
 
 def zstd_compress(data, level: int) -> bytes:
     with _Pinned(data) as (src, n):
         bound = zstd_bound(n)
-        dst = bytearray(bound)
-        with _Pinned(dst) as (out, _):
+        with mmap.mmap(-1, bound) as dst, _Pinned(dst) as (out, _):
             code = _zstd.ZSTD_compress(out, bound, src, n, level)
             if _zstd.ZSTD_isError(code):
                 raise CodecFailure(f"zstd compress: {_zstd_error(code)}")
@@ -212,9 +216,8 @@ def brotli_bound(n: int) -> int:
 def brotli_compress(data, quality: int, window_log: int) -> bytes:
     with _Pinned(data) as (src, n):
         bound = brotli_bound(n)
-        dst = bytearray(bound)
         out_size = c_size_t(bound)
-        with _Pinned(dst) as (out, _):
+        with mmap.mmap(-1, bound) as dst, _Pinned(dst) as (out, _):
             ok = _brenc.BrotliEncoderCompress(
                 quality, window_log, _BROTLI_MODE_GENERIC, n, src, byref(out_size), out
             )
@@ -281,20 +284,18 @@ def lz4_version() -> str:
 
 
 def lz4_bound(n: int) -> int:
-    """LZ4_compressBound: the longest block n input bytes compress to. It
-    takes a C int, which silently wraps, so the caller must first check that
-    n is at most LZ4_MAX_INPUT_SIZE."""
-    return _lz4.LZ4_compressBound(n)
+    """LZ4_compressBound: the longest block n input bytes compress to, or 0
+    where n exceeds LZ4_MAX_INPUT_SIZE (checked here: the C int would wrap)."""
+    return _lz4.LZ4_compressBound(n) if n <= LZ4_MAX_INPUT_SIZE else 0
 
 
 def lz4hc_compress_block(data, level: int) -> bytes:
     """Compress one raw LZ4 block (no framing; the caller records the size)."""
     with _Pinned(data) as (src, n):
-        if n > LZ4_MAX_INPUT_SIZE:
-            raise CodecFailure("lz4: input exceeds the single-block limit")
         bound = lz4_bound(n)
-        dst = bytearray(bound)
-        with _Pinned(dst) as (out, _):
+        if not bound:
+            raise CodecFailure("lz4: input exceeds the single-block limit")
+        with mmap.mmap(-1, bound) as dst, _Pinned(dst) as (out, _):
             written = _lz4.LZ4_compress_HC(src, out, n, bound, level)
             if written <= 0:
                 raise CodecFailure(f"lz4: LZ4_compress_HC returned {written}")

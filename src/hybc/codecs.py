@@ -114,16 +114,13 @@ def stream_bound(codec: CodecId, n: int) -> int:
         return _native.brotli_bound(n)
     if codec is CodecId.BZIP2:
         return n + (n + 99) // 100 + 600  # the bzip2 manual: 1% plus 600 bytes
-    if n > _native.LZ4_MAX_INPUT_SIZE:  # compress_one refuses such an input
-        raise CorruptStream(f"lz4: {n} bytes exceed the single-block limit")
     return _LZ4_PREFIX.size + _native.lz4_bound(n)
 
 
-def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize) -> bytes | bytearray:
-    """Invert compress_one, decoding to at most cap bytes; raises
+def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize) -> bytearray:
+    """Invert compress_one into one bytearray of at most cap bytes; raises
     CorruptStream when the input is not a stream of the claimed codec or
-    decodes to more than cap bytes. The stream may be any bytes-like object;
-    Zstd, Brotli and LZ4HC return a bytearray, LZMA and Bzip2 bytes."""
+    decodes to more than cap bytes. The stream may be any bytes-like object."""
     codec = CodecId(codec)
     if codec is CodecId.LZMA:
         return _stdlib_decompress(
@@ -138,9 +135,11 @@ def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize) -> bytes | by
     return _lz4_decompress(stream, cap)
 
 
-def _stdlib_decompress(decomp, stream, cap: int, name: str) -> bytes:
-    try:  # one byte past the cap is enough to tell that the stream exceeds it
-        out = decomp.decompress(stream, min(cap + 1, sys.maxsize))
+def _stdlib_decompress(decomp, stream, cap: int, name: str) -> bytearray:
+    try:  # steps of at most 1 MiB, to at most cap + 1 bytes: the extra byte shows the excess
+        out = bytearray(decomp.decompress(stream, min(cap + 1, 1 << 20)))
+        while not (decomp.eof or decomp.needs_input or len(out) > cap):
+            out += decomp.decompress(b"", min(cap + 1 - len(out), 1 << 20))
     except Exception as exc:
         raise CorruptStream(f"{name}: {exc}") from exc
     if len(out) > cap:

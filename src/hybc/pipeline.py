@@ -140,7 +140,7 @@ def compress_pipeline(spec: PipelineSpec, data: bytes) -> bytes:
     return serialize_header(header) + payload
 
 
-def decompress_pipeline(container) -> bytes | bytearray:
+def decompress_pipeline(container) -> bytearray:
     """Invert the recorded chain (second stage first) and verify integrity.
 
     The header caps every stage before it allocates: the last stage may

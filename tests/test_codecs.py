@@ -1,5 +1,6 @@
 import ctypes
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from hybc.codecs import (
     compress_one,
     decompress_one,
     library_versions,
+    stream_bound,
 )
+from hybc.corpus import SizeClass, generate_synthetic
 from hybc.errors import CorruptStream
 
 ALL_CODECS = list(CodecId)
@@ -99,7 +102,41 @@ def test_repetitive_text_shrinks(codec):
 @pytest.mark.parametrize("codec", ALL_CODECS)
 def test_random_buffer_round_trip(codec, random_64k):
     stream = compress_one(codec, random_64k)
-    assert decompress_one(codec, stream) == random_64k
+    restored = decompress_one(codec, stream)
+    assert isinstance(restored, bytearray)  # every codec decodes into one bytearray
+    assert restored == random_64k
+
+
+@pytest.fixture(scope="module")
+def large_text() -> bytes:
+    return generate_synthetic(SizeClass.LARGE, 42)[: 8 << 20]
+
+
+@pytest.mark.parametrize("codec", [CodecId.ZSTD, CodecId.BROTLI, CodecId.LZ4HC])
+def test_encoder_holds_no_heap_scratch(codec, large_text):
+    # the compress-bound scratch is an anonymous mapping, so the heap holds
+    # only the stream copied out of it; a heap scratch of the bound would
+    # alone exceed the limit
+    tracemalloc.start()
+    try:
+        compress_one(codec, large_text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = stream_bound(codec, len(large_text)) // 2
+    assert peak < limit, f"peak {peak} B, limit {limit} B"
+
+
+@pytest.mark.parametrize("codec,n,bound", [
+    # past LZ4_MAX_INPUT_SIZE no block exists: only the 8-byte length prefix
+    (CodecId.LZ4HC, 2**40 + 5, 8),
+    # too large for a zstd frame; the library returns an error code
+    (CodecId.ZSTD, 2**64 - 1, 0),
+    # the bound overflows size_t
+    (CodecId.BROTLI, 2**64 - 1, 0),
+])
+def test_stream_bound_of_impossible_length(codec, n, bound):
+    assert stream_bound(codec, n) == bound
 
 
 @pytest.mark.parametrize("codec,stream", [

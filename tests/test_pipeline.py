@@ -172,7 +172,9 @@ def test_round_trip_all_pipelines(payload, tiny_text):
     data = tiny_text if payload == "words" else ("अ" * 1024).encode("utf-8")
     for spec in enumerate_pipelines():
         container = compress_pipeline(spec, data)
-        assert decompress_pipeline(container) == data, spec.display_name
+        restored = decompress_pipeline(container)
+        assert isinstance(restored, bytearray), spec.display_name
+        assert restored == data, spec.display_name
 
 
 def test_hybrid_round_trip_example(tiny_text):
@@ -236,10 +238,15 @@ def test_payload_corruption_never_silent(spec, tiny_text):
         assert restored == tiny_text, f"wrong bytes returned (offset {offset})"
 
 
-# Every single-codec chain plus the chained Zstd + LZ4HC, over a short text.
+# Every single-codec chain plus three hybrids over a short text: Zstd + LZ4HC,
+# and two whose outer stage decodes stepwise (LZMA, Bzip2).
 _FUZZ_CONTAINERS = [
     compress_pipeline(spec, "अक्षर text ".encode() * 30)
-    for spec in [PipelineSpec(c) for c in CodecId] + [PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)]
+    for spec in [PipelineSpec(c) for c in CodecId] + [
+        PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC),
+        PipelineSpec(CodecId.ZSTD, CodecId.LZMA),
+        PipelineSpec(CodecId.BROTLI, CodecId.BZIP2),
+    ]
 ]
 
 
@@ -293,7 +300,8 @@ def _decode_peak(container: bytes) -> tuple[int, HybcError | None]:
 
 
 @pytest.mark.parametrize(
-    "spec", _SINGLES + [PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)],
+    "spec",
+    _SINGLES + [PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC), PipelineSpec(CodecId.LZ4HC, CodecId.BZIP2)],
     ids=lambda s: s.display_name,
 )
 def test_understated_header_allocates_nothing_big(spec):
@@ -310,7 +318,8 @@ def test_understated_header_allocates_nothing_big(spec):
 
 
 @pytest.mark.parametrize(
-    "spec", _SINGLES + [PipelineSpec(CodecId.ZSTD, CodecId.BROTLI)],
+    "spec",
+    _SINGLES + [PipelineSpec(CodecId.ZSTD, CodecId.BROTLI), PipelineSpec(CodecId.LZ4HC, CodecId.BROTLI)],
     ids=lambda s: s.display_name,
 )
 def test_overstated_header_raises_only_hybc_errors(spec):
@@ -324,6 +333,21 @@ def test_overstated_header_raises_only_hybc_errors(spec):
     peak, error = _decode_peak(_relabelled(valid, 1 << 40, zlib.crc32(text)))
     assert isinstance(error, HybcError)
     assert peak < baseline + (1 << 20), f"peak {peak} B, baseline {baseline} B"
+
+
+@pytest.mark.parametrize("codec", [CodecId.LZMA, CodecId.BZIP2])
+def test_stepwise_decode_holds_output_once(codec, small_corpus):
+    # LZMA and Bzip2 decode in steps into one bytearray; joining the output
+    # blocks at the end would hold the text twice at the peak. The baseline is
+    # a valid 10-byte container of the same codec (LZMA's 8 MiB dictionary).
+    text = small_corpus * ((8 << 20) // len(small_corpus) + 1)
+    small = compress_pipeline(PipelineSpec(codec), bytes(10))
+    large = compress_pipeline(PipelineSpec(codec), text)
+    baseline, error = _decode_peak(small)
+    assert error is None
+    peak, error = _decode_peak(large)
+    assert error is None
+    assert peak - baseline < 1.5 * len(text), f"peak {peak} B, baseline {baseline} B"
 
 
 # Zstd + LZ4HC container of generate_synthetic(SMALL, 42), written by
