@@ -16,7 +16,6 @@ size, so its buffer grows geometrically with its real output, up to the cap.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import mmap
 import sys
 from ctypes import (
@@ -44,8 +43,9 @@ def _load(*candidates: str) -> ctypes.CDLL:
             return ctypes.CDLL(name)
         except OSError as exc:
             err = exc
+    from ctypes.util import find_library  # pulls in subprocess: import on need
     stem = candidates[0].removeprefix("lib").split(".")[0]
-    found = ctypes.util.find_library(stem)
+    found = find_library(stem)
     if found:
         return ctypes.CDLL(found)
     raise CodecFailure(f"cannot load shared library {candidates[0]!r}: {err}")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .codecs import CodecId
 from .corpus import SizeClass, classify_size, load_dataset
 from .errors import HybcError
 from .metrics import (
@@ -222,5 +221,4 @@ def _head_to_head_rows(
     """The challenger plus every standalone codec, in ranking order."""
     if challenger is None:
         return []
-    keep = {challenger.display_name} | {c.canonical_name for c in CodecId}
-    return [r for r in rows if r.pipeline.display_name in keep]
+    return [r for r in rows if r.pipeline == challenger or not r.pipeline.is_hybrid]

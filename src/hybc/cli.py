@@ -51,7 +51,7 @@ def _parse_weights(text: str) -> Weights:
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
-    formats = tuple(p.strip().lower() for p in text.split(",") if p.strip())
+    formats = tuple(dict.fromkeys(p.strip().lower() for p in text.split(",") if p.strip()))
     unknown = set(formats) - set(FORMATS)
     if not formats or unknown:
         raise click.UsageError(

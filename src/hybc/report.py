@@ -15,10 +15,9 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from .codecs import CodecId, library_versions
-from .metrics import DsBasis
+from .metrics import MB, DsBasis
 from .pipeline import HEADER_LEN, PipelineSpec
 from .scoring import DEFAULT_WEIGHTS, EfficiencyRow, Weights
 
@@ -59,7 +58,7 @@ def environment_metadata(
             "monotonic": clock.monotonic,
             "resolution_seconds": clock.resolution,
         },
-        "mb_bytes": 1 << 20,
+        "mb_bytes": MB,
         "ds_basis": ds_basis.value,
         "weights": {"cr": weights.w_cr, "cs": weights.w_cs, "ds": weights.w_ds},
         "compressed_size_includes_container_header": True,
@@ -115,6 +114,17 @@ def render(table: Table, fmt: str, *, metadata: Mapping | None = None) -> bytes:
     raise ValueError(f"report format {fmt!r} is not available for this table")
 
 
+def _svg(width: int, height: int, font_size: int, body: Sequence[str]) -> bytes:
+    """Frame ``body`` lines in an SVG document. Labels are codec and chain
+    names, which hold no XML markup, so nothing is escaped."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'font-family="sans-serif" font-size="{font_size}">',
+        *body,
+        "</svg>\n",
+    ]).encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # Ranking-shaped reports (also used for head-to-head tables)
 
@@ -144,14 +154,11 @@ def _svg_ranking(rows: Sequence[EfficiencyRow], weights: Weights) -> bytes:
     legend_h = 26
     height = pad * 2 + legend_h + len(rows) * (bar_h + gap)
     width = label_w + chart_w + 90
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="sans-serif" font-size="12">'
-    ]
+    parts = []
     x = label_w
     for name, color in _SEGMENT_COLORS:
         parts.append(f'<rect x="{x}" y="{pad}" width="12" height="12" fill="{color}"/>')
-        parts.append(f'<text x="{x + 16}" y="{pad + 11}">{escape(name)}</text>')
+        parts.append(f'<text x="{x + 16}" y="{pad + 11}">{name}</text>')
         x += 170
     for i, r in enumerate(rows):
         y = pad + legend_h + i * (bar_h + gap)
@@ -163,7 +170,7 @@ def _svg_ranking(rows: Sequence[EfficiencyRow], weights: Weights) -> bytes:
         parts.append('<g class="pipeline-bar">')
         parts.append(
             f'<text x="{label_w - 8}" y="{y + bar_h - 5}" text-anchor="end">'
-            f"{escape(r.pipeline.display_name)}</text>"
+            f"{r.pipeline.display_name}</text>"
         )
         sx = float(label_w)
         for value, (_, color) in zip(segments, _SEGMENT_COLORS):
@@ -176,8 +183,7 @@ def _svg_ranking(rows: Sequence[EfficiencyRow], weights: Weights) -> bytes:
             f'<text x="{sx + 6:.2f}" y="{y + bar_h - 5}">{r.efficiency:.4f}</text>'
         )
         parts.append("</g>")
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return _svg(width, height, 12, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +207,6 @@ def _svg_balance(pairs: Sequence[tuple[PipelineSpec, float, float]]) -> bytes:
     max_cr = max((cr for _, cr, _ in pairs), default=1.0) or 1.0
     max_cs = max((cs for _, _, cs in pairs), default=1.0) or 1.0
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="sans-serif" font-size="11">',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="#333"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="#333"/>',
         f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle">compression speed (MB/s)</text>',
@@ -216,12 +220,9 @@ def _svg_balance(pairs: Sequence[tuple[PipelineSpec, float, float]]) -> bytes:
         cy = height - pad - (cr / max_cr) * plot_h
         parts.append('<g class="point">')
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="#4e79a7"/>')
-        parts.append(
-            f'<text x="{cx + 6:.2f}" y="{cy - 4:.2f}">{escape(spec.display_name)}</text>'
-        )
+        parts.append(f'<text x="{cx + 6:.2f}" y="{cy - 4:.2f}">{spec.display_name}</text>')
         parts.append("</g>")
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return _svg(width, height, 11, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +252,6 @@ def _svg_frequency(ordered: Sequence[tuple[CodecId, int]]) -> bytes:
     height = plot_h + 2 * pad
     peak = max((n for _, n in ordered), default=1) or 1
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="sans-serif" font-size="12">',
         f'<line x1="{pad}" y1="{pad + plot_h}" x2="{width - pad}" y2="{pad + plot_h}" stroke="#333"/>',
     ]
     for i, (codec, n) in enumerate(ordered):
@@ -268,8 +267,7 @@ def _svg_frequency(ordered: Sequence[tuple[CodecId, int]]) -> bytes:
         )
         parts.append(
             f'<text x="{x + bar_w / 2:.0f}" y="{pad + plot_h + 16}" text-anchor="middle">'
-            f"{escape(codec.canonical_name)}</text>"
+            f"{codec.canonical_name}</text>"
         )
         parts.append("</g>")
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return _svg(width, height, 12, parts)

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -142,6 +145,36 @@ def test_traced_run_layer_calls_succeed(layers, small_corpus):
 # ---------------------------------------------------------------------------
 # CLI
 
+_LIST_NEW_MODULES = """
+import importlib, sys
+before = set(sys.modules)
+importlib.import_module(sys.argv[1])
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        ("hybc.cli", ("xml", "urllib.request", "http.client", "ssl", "email", "subprocess")),
+        ("hybc", ("subprocess",)),
+    ],
+)
+def test_import_loads_no_unused_stdlib(module, forbidden):
+    """Start-up imports nothing hybc does not run: no XML escaping that drags in
+    urllib, http, ssl and email, and no subprocess for a library lookup."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _LIST_NEW_MODULES, module],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    added = out.split()
+    assert module in added
+    loaded = [m for m in added for f in forbidden if m == f or m.startswith(f + ".")]
+    assert not loaded, loaded
+
+
 def test_cli_compress_decompress_round_trip(runner, tmp_path, tiny_text):
     src = tmp_path / "in.txt"
     src.write_bytes(tiny_text)
@@ -244,6 +277,21 @@ def test_cli_bench_writes_reports(runner, three_corpora, tmp_path):
     assert (out / "head_to_head_corpus_1.json").exists()
     assert (out / "frequency.csv").exists()
     assert (out / "balance_corpus_0.csv").exists()
+
+
+def test_cli_bench_repeated_format_writes_each_file_once(runner, tmp_path, tiny_text):
+    corpus = tmp_path / "small.txt"
+    corpus.write_bytes(tiny_text)
+    out = tmp_path / "reports"
+    result = runner.invoke(
+        main,
+        ["bench", str(corpus), "--pipelines", "Zstd,LZ4HC", "--reps", "1",
+         "--format", "csv,CSV", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    files = sorted(p.name for p in out.iterdir())
+    assert f"wrote {len(files)} report file(s)" in result.output
+    assert all(name.endswith(".csv") for name in files)
 
 
 def test_cli_bench_partial_failure_exits_nonzero(runner, tmp_path, tiny_text):

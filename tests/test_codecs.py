@@ -16,7 +16,7 @@ from hybc.codecs import (
     stream_bound,
 )
 from hybc.corpus import SizeClass, generate_synthetic
-from hybc.errors import CorruptStream
+from hybc.errors import CodecFailure, CorruptStream
 
 ALL_CODECS = list(CodecId)
 
@@ -202,6 +202,13 @@ def test_lz4_wrong_declared_length_rejected():
     off_by_one = struct.pack("<Q", 501) + stream[8:]
     with pytest.raises(CorruptStream):
         decompress_one(CodecId.LZ4HC, off_by_one)
+
+
+def test_load_falls_back_to_find_library():
+    """When no listed soname loads, the library is looked up by its stem."""
+    assert _native._load("libzstd.so.999", "libzstd.so.998").ZSTD_versionNumber() > 0
+    with pytest.raises(CodecFailure, match="libhybc_missing"):
+        _native._load("libhybc_missing.so.1")
 
 
 def test_library_versions_reported():

@@ -12,7 +12,7 @@ from hybc.bench import MEASUREMENT_COLUMNS, BenchRow, measurements_report
 from hybc.codecs import CodecId
 from hybc.errors import CodecFailure, InvalidUtf8
 from hybc.metrics import DsBasis, Measurement
-from hybc.pipeline import pipeline_from_name
+from hybc.pipeline import enumerate_pipelines, pipeline_from_name
 from hybc.report import (
     RANKING_CSV_COLUMNS,
     balance_report,
@@ -21,7 +21,7 @@ from hybc.report import (
     ranking_report,
     render,
 )
-from hybc.scoring import DEFAULT_WEIGHTS, EfficiencyRow
+from hybc.scoring import DEFAULT_WEIGHTS, EfficiencyRow, component_frequency
 
 _SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -42,6 +42,28 @@ def _rows():
             cr_norm=0.6566753548, cs_norm=0.5146656, ds_norm=0.8937775,
             efficiency=0.685203,
         ),
+    ]
+
+
+def _cohort():
+    """All 25 chains, so every codec and chain name reaches the SVG labels."""
+    specs = enumerate_pipelines()
+    return [
+        EfficiencyRow(
+            pipeline=spec, dataset="all", size_class="Small",
+            cr=2.0 + i, cs=100.0 + i, ds=300.0 + i,
+            cr_norm=i / (len(specs) - 1), cs_norm=1 - i / (len(specs) - 1), ds_norm=0.5,
+            efficiency=0.9 - i / 100,
+        )
+        for i, spec in enumerate(specs)
+    ]
+
+
+def _labels(root, group_class: str, index: int) -> list[str]:
+    """Text of the ``index``-th label in each ``<g class=group_class>``."""
+    return [
+        g.findall(f"{_SVG_NS}text")[index].text
+        for g in root.iter(f"{_SVG_NS}g") if g.get("class") == group_class
     ]
 
 
@@ -69,13 +91,16 @@ def test_md_renders_scores_to_four_decimals():
     assert text.splitlines()[0].startswith("| Rank |")
 
 
-def test_svg_well_formed_one_group_per_row():
-    root = ET.fromstring(render(ranking_report(_rows()), "svg").decode())
+@pytest.mark.parametrize("make_rows", [_rows, _cohort], ids=["pair", "all25"])
+def test_svg_well_formed_one_group_per_row(make_rows):
+    rows = make_rows()
+    root = ET.fromstring(render(ranking_report(rows), "svg").decode())
     assert root.tag == f"{_SVG_NS}svg"
     groups = [g for g in root.iter(f"{_SVG_NS}g") if g.get("class") == "pipeline-bar"]
-    assert len(groups) == 2
+    assert len(groups) == len(rows)
     # each bar stacks three weighted segments
     assert all(len(g.findall(f"{_SVG_NS}rect")) == 3 for g in groups)
+    assert _labels(root, "pipeline-bar", 0) == [r.pipeline.display_name for r in rows]
 
 
 def test_json_full_precision_and_metadata():
@@ -112,6 +137,9 @@ def test_balance_emitters():
     root = ET.fromstring(render(balance_report(pairs), "svg").decode())
     points = [g for g in root.iter(f"{_SVG_NS}g") if g.get("class") == "point"]
     assert len(points) == 2
+    cohort = [(r.pipeline, r.cr, r.cs) for r in _cohort()]
+    root = ET.fromstring(render(balance_report(cohort), "svg").decode())
+    assert _labels(root, "point", 0) == [spec.display_name for spec, _, _ in cohort]
 
 
 def test_frequency_emitters():
@@ -132,6 +160,11 @@ def test_frequency_emitters():
     root = ET.fromstring(render(table, "svg").decode())
     bars = [g for g in root.iter(f"{_SVG_NS}g") if g.get("class") == "bar"]
     assert len(bars) == 5
+    cohort = _cohort()
+    counts = component_frequency(cohort, k=len(cohort))
+    assert set(counts.values()) == {9}  # each codec: one single and eight hybrids
+    root = ET.fromstring(render(frequency_report(counts, len(cohort)), "svg").decode())
+    assert _labels(root, "bar", 1) == sorted(c.canonical_name for c in CodecId)
 
 
 def test_measurements_emitter():
