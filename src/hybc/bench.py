@@ -17,6 +17,7 @@ from .errors import HybcError
 from .metrics import (
     DsBasis,
     Measurement,
+    StageCache,
     compression_ratio,
     compression_speed,
     decompression_speed,
@@ -74,7 +75,9 @@ def run_bench(
     repetitions: int,
     progress: Callable[[BenchRow], None] | None = None,
 ) -> list[BenchRow]:
-    """Measure every input x pipeline combination, one row per cell."""
+    """Measure every input x pipeline combination, one row per cell. Chains
+    on one input that start with the same codec share that first stage,
+    timed once."""
     rows: list[BenchRow] = []
 
     def add(row: BenchRow) -> None:
@@ -90,10 +93,11 @@ def run_bench(
                 add(BenchRow(dataset=name, pipeline=spec, error=str(exc)))
             continue
         size_class = classify_size(len(data))
+        stages: StageCache = {}
         for spec in specs:
             row = BenchRow(dataset=name, pipeline=spec, size_class=size_class)
             try:
-                row.measurement = measure(spec, data, repetitions, dataset=name)
+                row.measurement = measure(spec, data, repetitions, dataset=name, stages=stages)
             except (HybcError, ValueError) as exc:
                 row.error = str(exc)
             add(row)

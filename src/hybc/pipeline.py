@@ -131,6 +131,11 @@ def compress_pipeline(spec: PipelineSpec, data: bytes) -> bytes:
     payload = compress_one(spec.first, data)
     if spec.second is not None:
         payload = compress_one(spec.second, payload)
+    return frame(spec, data, payload)
+
+
+def frame(spec: PipelineSpec, data: bytes, payload) -> bytes:
+    """The container of data: its header, then the chain's payload."""
     header = ContainerHeader(
         first_codec=spec.first,
         second_codec=spec.second,

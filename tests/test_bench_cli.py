@@ -16,7 +16,7 @@ from hybc.codecs import CodecId, compress_one
 from hybc.errors import CodecFailure
 from hybc.metrics import DsBasis
 from hybc.pipeline import (
-    ContainerHeader, enumerate_pipelines, pipeline_from_name, serialize_header,
+    ContainerHeader, PipelineSpec, enumerate_pipelines, pipeline_from_name, serialize_header,
 )
 from hybc.scoring import DEFAULT_WEIGHTS
 
@@ -95,6 +95,89 @@ def test_bench_records_pipeline_failure_and_continues(three_corpora, monkeypatch
     assert len(_rankings(rows)["corpus_0"]) == 2
 
 
+def _count_encodes(monkeypatch, fail=lambda codec, data: False):
+    """Route every compress_one call of a bench through one counter keyed by
+    (codec, input); `fail` picks calls to fail with CodecFailure."""
+    import hybc.metrics as metrics_mod
+    import hybc.pipeline as pipeline_mod
+
+    calls = {}
+
+    def counting(codec, data):
+        key = (CodecId(codec), bytes(data))
+        calls[key] = calls.get(key, 0) + 1
+        if fail(*key):
+            raise CodecFailure("injected fault")
+        return compress_one(codec, data)
+
+    monkeypatch.setattr(metrics_mod, "compress_one", counting)
+    monkeypatch.setattr(pipeline_mod, "compress_one", counting)
+    return calls
+
+
+def test_bench_times_each_stage_once_per_repetition(tmp_path, tiny_text, monkeypatch):
+    import hybc.metrics as metrics_mod
+
+    corpus = tmp_path / "t.txt"
+    corpus.write_bytes(tiny_text)
+    calls = _count_encodes(monkeypatch)
+    verified = []
+    real_decompress = metrics_mod.decompress_pipeline
+
+    def counting_decompress(container):
+        verified.append(container)
+        return real_decompress(container)
+
+    monkeypatch.setattr(metrics_mod, "decompress_pipeline", counting_decompress)
+    reps = 3
+    rows = run_bench([corpus], enumerate_pipelines(), reps)
+    assert all(row.error is None for row in rows)
+    # each codec encodes the text once per repetition plus its warm-up, and
+    # each of the 20 second stages encodes its first stage's stream as often
+    assert {codec: calls[codec, tiny_text] for codec in CodecId} == {c: reps + 1 for c in CodecId}
+    second = {key: n for key, n in calls.items() if key[1] != tiny_text}
+    assert len(second) == 20
+    assert set(second.values()) == {reps + 1}
+    assert len(verified) == 25  # each chain's container is decoded once
+
+
+def test_bench_hybrid_never_faster_than_its_first_stage(tmp_path, tiny_text):
+    corpus = tmp_path / "t.txt"
+    corpus.write_bytes(tiny_text)
+    rows = run_bench([corpus], enumerate_pipelines(), 3)
+    by_spec = {row.pipeline: row.measurement for row in rows}
+    for spec, m in by_spec.items():
+        if spec.is_hybrid:
+            alone = by_spec[PipelineSpec(spec.first)]
+            assert m.compress_seconds > alone.compress_seconds, spec.display_name
+            assert m.decompress_seconds > alone.decompress_seconds, spec.display_name
+
+
+def test_bench_failing_first_stage_fails_only_its_chains(tmp_path, tiny_text, monkeypatch):
+    corpus = tmp_path / "t.txt"
+    corpus.write_bytes(tiny_text)
+    _count_encodes(monkeypatch, lambda codec, data: codec is CodecId.BZIP2 and data == tiny_text)
+    rows = run_bench([corpus], enumerate_pipelines(), 1)
+    failed = {row.pipeline for row in rows if row.error is not None}
+    assert failed == {spec for spec in enumerate_pipelines() if spec.first is CodecId.BZIP2}
+    assert all("injected fault" in row.error for row in rows if row.error is not None)
+    assert PipelineSpec(CodecId.ZSTD, CodecId.BZIP2) not in failed
+    assert len(_rankings(rows)["t"]) == 20
+
+
+def test_cli_bench_empty_input_is_an_error_row_per_chain(runner, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    out = tmp_path / "reports"
+    result = runner.invoke(main, ["bench", str(empty), "--reps", "1", "--format", "csv",
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "25 of 25 runs failed" in result.output
+    rows = (out / "measurements.csv").read_text().splitlines()[1:]
+    assert len(rows) == 25
+    assert all(row.endswith(",error,,,,,,,,,cannot measure an empty buffer") for row in rows)
+
+
 def test_bench_rerun_reproduces_size_columns(three_corpora):
     # sizes (and so CR) are deterministic across reruns; timings may differ
     specs = _specs("Zstd", "LZMA", "Zstd+LZ4HC")
@@ -156,13 +239,15 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 @pytest.mark.parametrize(
     "module, forbidden",
     [
-        ("hybc.cli", ("xml", "urllib.request", "http.client", "ssl", "email", "subprocess")),
-        ("hybc", ("subprocess",)),
+        ("hybc.cli", ("xml", "urllib.request", "http.client", "ssl", "email", "subprocess",
+                      "statistics", "fractions", "decimal")),
+        ("hybc", ("subprocess", "statistics", "fractions", "decimal")),
     ],
 )
 def test_import_loads_no_unused_stdlib(module, forbidden):
     """Start-up imports nothing hybc does not run: no XML escaping that drags in
-    urllib, http, ssl and email, and no subprocess for a library lookup."""
+    urllib, http, ssl and email, no subprocess for a library lookup, and no
+    statistics module (with fractions and decimal) for a median."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(

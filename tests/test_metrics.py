@@ -3,17 +3,19 @@ import statistics
 import pytest
 
 from hybc.codecs import CodecId
+from hybc.corpus import SizeClass, generate_synthetic
 from hybc.errors import RoundTripMismatch
 from hybc.metrics import (
     MB,
     DsBasis,
     Measurement,
+    _median,
     compression_ratio,
     compression_speed,
     decompression_speed,
     measure,
 )
-from hybc.pipeline import PipelineSpec
+from hybc.pipeline import PipelineSpec, compress_pipeline, enumerate_pipelines
 
 
 def _measurement(original, compressed, tc=1.0, td=1.0, reps=1):
@@ -96,6 +98,66 @@ def test_median_ignores_one_slow_repetition(tiny_text):
     assert m.compress_seconds == pytest.approx(
         statistics.median(compress_durations[:2] + compress_durations[3:] + [0.010])
     )
+
+
+def _stage_deltas(compress, decompress, gap=0.001):
+    """Scripted clock deltas for one stage: per repetition, compress start and
+    stop, then decompress start and stop."""
+    deltas = []
+    for c, d in zip(compress, decompress):
+        deltas += [gap, c, gap, d]
+    return deltas
+
+
+def test_hybrid_sample_is_sum_of_its_stages_samples(tiny_text):
+    zstd, hybrid = PipelineSpec(CodecId.ZSTD), PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)
+    first_c, first_d = [0.010, 0.050, 0.030], [0.004, 0.001, 0.002]
+    second_c, second_d = [0.050, 0.010, 0.020], [0.001, 0.004, 0.003]
+    stages = {}
+    alone = measure(zstd, tiny_text, 3, clock=ScriptedClock(_stage_deltas(first_c, first_d)),
+                    stages=stages)
+    assert alone.compress_seconds == pytest.approx(0.030)
+    # the first stage is cached, so this clock times the second stage only
+    m = measure(hybrid, tiny_text, 3, clock=ScriptedClock(_stage_deltas(second_c, second_d)),
+                stages=stages)
+    # paired sums 0.060, 0.060, 0.050 and 0.005, 0.005, 0.005: not the sums
+    # of the stage medians (0.050 and 0.005)
+    assert m.compress_seconds == pytest.approx(0.060)
+    assert m.decompress_seconds == pytest.approx(0.005)
+    # without a cache the one clock times both stages, first stage first
+    fresh = measure(hybrid, tiny_text, 3, clock=ScriptedClock(
+        _stage_deltas(first_c, first_d) + _stage_deltas(second_c, second_d)))
+    assert (fresh.compress_seconds, fresh.decompress_seconds) == (
+        pytest.approx(0.060), pytest.approx(0.005))
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [[0.3], [0.2, 0.1], [0.1, 0.7, 0.2], [0.1, 0.2, 0.4, 0.3],
+     [1e-9, 3.0, 0.1 + 0.2, 0.7, 1 / 3, 2 / 3]],
+)
+def test_median_matches_statistics_median(samples):
+    assert _median(samples) == statistics.median(samples)
+
+
+def test_measured_container_is_the_real_container(monkeypatch):
+    import hybc.metrics as metrics_mod
+
+    data = generate_synthetic(SizeClass.SMALL, 42)
+    verified = []
+    real_decompress = metrics_mod.decompress_pipeline
+
+    def recording_decompress(container):
+        verified.append(bytes(container))
+        return real_decompress(container)
+
+    monkeypatch.setattr(metrics_mod, "decompress_pipeline", recording_decompress)
+    stages = {}
+    for spec in enumerate_pipelines():
+        m = measure(spec, data, 1, stages=stages)
+        assert verified[-1] == compress_pipeline(spec, data), spec.display_name
+        assert m.compressed_bytes == len(verified[-1])
+    assert len(verified) == 25
 
 
 def test_compression_ratio_examples():
