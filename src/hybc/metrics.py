@@ -11,15 +11,12 @@ import math
 import mmap
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Callable
 
 from .codecs import CodecId, compress_one, decompress_one, stream_bound
-from .errors import IntegrityMismatch, RoundTripMismatch
-from .pipeline import (
-    HEADER_LEN, PipelineSpec, compress_pipeline, decompress_pipeline, frame, parse_header,
-)
+from .errors import RoundTripMismatch
+from .pipeline import HEADER_LEN, PipelineSpec, compress_pipeline, decompress_pipeline, frame
 
 MB = 1 << 20
 
@@ -88,20 +85,20 @@ def measure(
 ) -> Measurement:
     """Time compress/decompress over in-memory buffers.
 
-    The unit timed is a stage: the first codec on the data, framing included
-    (CRC-32 and header on compression, header parse and CRC-32 check on
-    decompression), then the second codec, if any, on the first one's output.
-    Each stage runs one untimed warm-up, then `repetitions` timed rounds of
-    each phase, and every decode is checked against the stage's input.
-    Sample i of the chain is the sum of its stages' samples i; the median of
-    those sums is reported per phase.
+    The unit timed is a stage: the first codec on the data, timed as
+    compress_pipeline and as the decompress_pipeline call `hybc decompress`
+    makes on its one-codec container (framing included), then the second
+    codec, if any, on the first one's output. Each stage runs one untimed
+    warm-up, then `repetitions` timed rounds of each phase, and every decode
+    is checked against the stage's input. Sample i of the chain is the sum
+    of its stages' samples i; the median of those sums is reported per phase.
 
     `stages` holds the first stages already timed on `data` with
-    `repetitions`; a missing one is timed with `clock` and added, so chains
-    that share a first stage time it once. Without it the call times every
-    stage it runs. The chain's container is then framed from its last
-    stage's output and must decode back to `data`. Serialized process-wide
-    so concurrent callers cannot pollute each other's timings.
+    `repetitions` (another count is a ValueError); a missing one is timed
+    with `clock` and added, so chains that share a first stage time it once.
+    A one-codec chain's container is its first stage's output, a hybrid's is
+    framed from the second's; either must decode back to `data`. Serialized
+    process-wide so concurrent callers cannot pollute each other's timings.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -115,11 +112,14 @@ def measure(
         if first is None:
             first = stages[spec.first] = _time_stage(
                 lambda: compress_pipeline(PipelineSpec(spec.first), data),
-                _decode_framed, data, repetitions, clock, name,
+                decompress_pipeline, data, repetitions, clock, name,
             )
+        elif len(first.compress) != repetitions:
+            raise ValueError(f"cached first stage has {len(first.compress)} reps, not {repetitions}")
         timed = [first]
-        payload = stream = memoryview(first.output)[HEADER_LEN:]
+        container = first.output
         if spec.second is not None:
+            stream = memoryview(first.output)[HEADER_LEN:]
             cap = stream_bound(spec.first, len(data))
             second = _time_stage(
                 lambda: compress_one(spec.second, stream),
@@ -127,8 +127,7 @@ def measure(
                 stream, repetitions, clock, name,
             )
             timed.append(second)
-            payload = second.output
-        container = frame(spec, data, payload)
+            container = frame(spec, data, second.output)
         if decompress_pipeline(container) != data:
             raise RoundTripMismatch(name)
     return Measurement(
@@ -169,18 +168,6 @@ def _time_stage(encode: Callable[[], bytes], decode: Callable[[bytes], bytearray
     kept = mmap.mmap(-1, len(output))
     kept.write(output)
     return Stage(kept, compress_times, decompress_times)
-
-
-def _decode_framed(container: bytes) -> bytearray:
-    """Decode a one-codec container the way decompress_pipeline does: parse
-    the header, run the codec, check the CRC-32. measure() keeps the call to
-    decompress_pipeline itself for the one decode that verifies each chain."""
-    header = parse_header(container)
-    data = decompress_one(header.first_codec, memoryview(container)[HEADER_LEN:],
-                          header.original_len)
-    if zlib.crc32(data) != header.original_crc32:
-        raise IntegrityMismatch("CRC-32 of decoded payload does not match header")
-    return data
 
 
 def _median(samples: list[float]) -> float:

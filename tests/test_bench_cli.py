@@ -16,7 +16,8 @@ from hybc.codecs import CodecId, compress_one
 from hybc.errors import CodecFailure
 from hybc.metrics import DsBasis
 from hybc.pipeline import (
-    ContainerHeader, PipelineSpec, enumerate_pipelines, pipeline_from_name, serialize_header,
+    ContainerHeader, PipelineSpec, compress_pipeline, enumerate_pipelines, pipeline_from_name,
+    serialize_header,
 )
 from hybc.scoring import DEFAULT_WEIGHTS
 
@@ -125,7 +126,7 @@ def test_bench_times_each_stage_once_per_repetition(tmp_path, tiny_text, monkeyp
     real_decompress = metrics_mod.decompress_pipeline
 
     def counting_decompress(container):
-        verified.append(container)
+        verified.append(bytes(container))
         return real_decompress(container)
 
     monkeypatch.setattr(metrics_mod, "decompress_pipeline", counting_decompress)
@@ -138,7 +139,10 @@ def test_bench_times_each_stage_once_per_repetition(tmp_path, tiny_text, monkeyp
     second = {key: n for key, n in calls.items() if key[1] != tiny_text}
     assert len(second) == 20
     assert set(second.values()) == {reps + 1}
-    assert len(verified) == 25  # each chain's container is decoded once
+    # decompress_pipeline is each first stage's timed decode (warm-up plus one
+    # per repetition) and the one check of each chain's real container
+    assert len(verified) == 5 * (reps + 1) + 25
+    assert {compress_pipeline(spec, tiny_text) for spec in enumerate_pipelines()} <= set(verified)
 
 
 def test_bench_hybrid_never_faster_than_its_first_stage(tmp_path, tiny_text):

@@ -4,7 +4,7 @@ import pytest
 
 from hybc.codecs import CodecId
 from hybc.corpus import SizeClass, generate_synthetic
-from hybc.errors import RoundTripMismatch
+from hybc.errors import HybcError, RoundTripMismatch
 from hybc.metrics import (
     MB,
     DsBasis,
@@ -131,6 +131,42 @@ def test_hybrid_sample_is_sum_of_its_stages_samples(tiny_text):
         pytest.approx(0.060), pytest.approx(0.005))
 
 
+def test_one_codec_chain_reuses_its_cached_first_stage(tiny_text):
+    zstd, hybrid = PipelineSpec(CodecId.ZSTD), PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)
+    first_c, first_d = [0.010, 0.050, 0.030], [0.004, 0.001, 0.002]
+    second_c, second_d = [0.050, 0.010, 0.020], [0.001, 0.004, 0.003]
+    stages = {}
+    measure(hybrid, tiny_text, 3, stages=stages, clock=ScriptedClock(
+        _stage_deltas(first_c, first_d) + _stage_deltas(second_c, second_d)))
+    # the first stage is cached, so the one-codec chain reads the clock no more
+    m = measure(zstd, tiny_text, 3, stages=stages, clock=ScriptedClock([]))
+    cached = stages[CodecId.ZSTD]
+    assert (m.compress_seconds, m.decompress_seconds) == (
+        _median(cached.compress), _median(cached.decompress))
+    assert (m.compress_seconds, m.decompress_seconds) == (
+        pytest.approx(0.030), pytest.approx(0.002))
+    assert m.compressed_bytes == len(compress_pipeline(zstd, tiny_text))
+
+
+@pytest.mark.parametrize("spec", [PipelineSpec(CodecId.ZSTD),
+                                  PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)])
+def test_stage_cache_built_on_other_data_is_rejected(tiny_text, spec):
+    stages = {}
+    measure(PipelineSpec(CodecId.ZSTD), tiny_text[::-1], 1, stages=stages)
+    with pytest.raises(HybcError):
+        measure(spec, tiny_text, 1, stages=stages)
+
+
+@pytest.mark.parametrize("cached, asked, spec", [
+    (2, 5, PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)), (5, 2, PipelineSpec(CodecId.ZSTD))])
+def test_stage_cache_with_other_repetition_count_is_rejected(tiny_text, cached, asked, spec):
+    stages = {}
+    measure(PipelineSpec(CodecId.ZSTD), tiny_text, cached, stages=stages)
+    # rejected before anything is timed: the empty clock would stop iteration
+    with pytest.raises(ValueError, match=f"{cached} reps, not {asked}"):
+        measure(spec, tiny_text, asked, stages=stages, clock=ScriptedClock([]))
+
+
 @pytest.mark.parametrize(
     "samples",
     [[0.3], [0.2, 0.1], [0.1, 0.7, 0.2], [0.1, 0.2, 0.4, 0.3],
@@ -157,7 +193,9 @@ def test_measured_container_is_the_real_container(monkeypatch):
         m = measure(spec, data, 1, stages=stages)
         assert verified[-1] == compress_pipeline(spec, data), spec.display_name
         assert m.compressed_bytes == len(verified[-1])
-    assert len(verified) == 25
+    # each first stage's warm-up and timed decode go through decompress_pipeline
+    # too, before the one check of each chain's container above
+    assert len(verified) == 5 * (1 + 1) + 25
 
 
 def test_compression_ratio_examples():
