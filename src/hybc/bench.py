@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .codecs import CodecId
 from .corpus import SizeClass, classify_size, load_dataset
 from .errors import HybcError
 from .metrics import (
     DsBasis,
     Measurement,
-    StageCache,
+    Stage,
     compression_ratio,
     compression_speed,
     decompression_speed,
@@ -93,7 +94,7 @@ def run_bench(
                 add(BenchRow(dataset=name, pipeline=spec, error=str(exc)))
             continue
         size_class = classify_size(len(data))
-        stages: StageCache = {}
+        stages: dict[CodecId, Stage] = {}
         for spec in specs:
             row = BenchRow(dataset=name, pipeline=spec, size_class=size_class)
             try:
@@ -159,11 +160,11 @@ def read_measurements(doc: dict) -> list[Measurement]:
         m = Measurement(
             pipeline=pipeline_from_name(row["pipeline"]),
             dataset=row["dataset"],
-            original_bytes=int(row["original_bytes"]),
-            compressed_bytes=int(row["compressed_bytes"]),
-            compress_seconds=float(row["compress_seconds"]),
-            decompress_seconds=float(row["decompress_seconds"]),
-            repetitions=int(row["repetitions"]),
+            original_bytes=row["original_bytes"],
+            compressed_bytes=row["compressed_bytes"],
+            compress_seconds=row["compress_seconds"],
+            decompress_seconds=row["decompress_seconds"],
+            repetitions=row["repetitions"],
         )
         if (m.dataset, m.pipeline) in cells:
             raise ValueError(f"dataset {m.dataset!r} has two ok rows for {m.pipeline.display_name}")

@@ -7,6 +7,7 @@ reports label whichever was used.
 from __future__ import annotations
 
 import enum
+import gc
 import math
 import mmap
 import threading
@@ -19,10 +20,6 @@ from .errors import RoundTripMismatch
 from .pipeline import HEADER_LEN, PipelineSpec, compress_pipeline, decompress_pipeline, frame
 
 MB = 1 << 20
-
-# Floor for a measured duration; perf_counter is ns-resolution, so this only
-# guards the degenerate case of a clock that did not advance.
-_MIN_SECONDS = 1e-9
 
 # Timing is only meaningful when nothing else is being timed in-process.
 _MEASUREMENT_LOCK = threading.Lock()
@@ -48,15 +45,15 @@ class Measurement:
     repetitions: int
 
     def __post_init__(self):
-        if self.original_bytes < 0:
-            raise ValueError("original_bytes must be >= 0")
-        if self.compressed_bytes < HEADER_LEN:
-            raise ValueError(f"compressed_bytes must be >= {HEADER_LEN} (header)")
+        if type(self.original_bytes) is not int or self.original_bytes < 0:
+            raise ValueError("original_bytes must be an int >= 0")
+        if type(self.compressed_bytes) is not int or self.compressed_bytes < HEADER_LEN:
+            raise ValueError(f"compressed_bytes must be an int >= {HEADER_LEN} (header)")
         for seconds in (self.compress_seconds, self.decompress_seconds):
-            if not (math.isfinite(seconds) and seconds > 0):
-                raise ValueError("timings must be finite and strictly positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+            if type(seconds) not in (int, float) or not (math.isfinite(seconds) and seconds > 0):
+                raise ValueError("timings must be finite and strictly positive numbers")
+        if type(self.repetitions) is not int or self.repetitions < 1:
+            raise ValueError("repetitions must be an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,6 @@ class Stage:
     decompress: list[float]
 
 
-# First stages already timed on one dataset with one repetition count, by codec.
-StageCache = dict[CodecId, Stage]
-
-
 def measure(
     spec: PipelineSpec,
     data: bytes,
@@ -81,7 +74,7 @@ def measure(
     *,
     dataset: str = "data",
     clock: Callable[[], float] = time.perf_counter,
-    stages: StageCache | None = None,
+    stages: dict[CodecId, Stage] | None = None,
 ) -> Measurement:
     """Time compress/decompress over in-memory buffers.
 
@@ -89,9 +82,10 @@ def measure(
     compress_pipeline and as the decompress_pipeline call `hybc decompress`
     makes on its one-codec container (framing included), then the second
     codec, if any, on the first one's output. Each stage runs one untimed
-    warm-up, then `repetitions` timed rounds of each phase, and every decode
-    is checked against the stage's input. Sample i of the chain is the sum
-    of its stages' samples i; the median of those sums is reported per phase.
+    warm-up, then `repetitions` rounds reading `clock` 4 times each, with the
+    cyclic garbage collector off as in timeit; each decode is checked against
+    the stage's input. Chain sample i is the sum of its stages' samples i; the
+    median of those sums per phase must be > 0, so a stalled clock fails.
 
     `stages` holds the first stages already timed on `data` with
     `repetitions` (another count is a ValueError); a missing one is timed
@@ -144,23 +138,27 @@ def measure(
 def _time_stage(encode: Callable[[], bytes], decode: Callable[[bytes], bytearray], source,
                 repetitions: int, clock: Callable[[], float], name: str) -> Stage:
     """One untimed warm-up, then `repetitions` timed rounds of encode and
-    decode; every decode must give back `source`."""
-    output = encode()
-    if decode(output) != source:
-        raise RoundTripMismatch(name)
+    decode with the cyclic collector off; each timed decode must give back `source`."""
+    decode(encode())
     compress_times = []
     decompress_times = []
-    for _ in range(repetitions):
-        t0 = clock()
-        output = encode()
-        t1 = clock()
-        compress_times.append(max(t1 - t0, _MIN_SECONDS))
-        t0 = clock()
-        restored = decode(output)
-        t1 = clock()
-        decompress_times.append(max(t1 - t0, _MIN_SECONDS))
-        if restored != source:
-            raise RoundTripMismatch(name)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repetitions):
+            t0 = clock()
+            output = encode()
+            t1 = clock()
+            compress_times.append(t1 - t0)
+            t0 = clock()
+            restored = decode(output)
+            t1 = clock()
+            decompress_times.append(t1 - t0)
+            if restored != source:
+                raise RoundTripMismatch(name)
+    finally:
+        if collecting:
+            gc.enable()
     # The output is kept in a mapping of its own, off the malloc heap. A first
     # stage's output outlives many cells; on the heap it can split the free
     # block that glibc hands each LZMA encoder, which then grows the heap

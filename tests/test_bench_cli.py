@@ -485,6 +485,13 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         json.dumps({"rows": [_OK_ROW, _OK_ROW | {"pipeline": "LZMA"}],
                     "environment": ["not", "an", "object"]}).encode(),
     ]
+    # numbers of the wrong JSON type are rejected, not cast: counts must be
+    # integers and timings numbers, and a boolean is neither
+    mistyped = {"original_bytes": [1000.9, "1000", True], "compressed_bytes": [400.0, "300", True],
+                "repetitions": [1.0, "1", True], "compress_seconds": ["0.01", True],
+                "decompress_seconds": ["0.002", True]}
+    hostile += [_measurements_doc({field: value}, {"pipeline": "LZMA"})
+                for field, values in mistyped.items() for value in values]
     bad = tmp_path / "bad.json"
     for payload in hostile:
         bad.write_bytes(payload)

@@ -1,3 +1,4 @@
+import gc
 import statistics
 
 import pytest
@@ -80,6 +81,70 @@ def test_measurement_lock_held_while_timing(tiny_text):
 
     measure(PipelineSpec(CodecId.ZSTD), tiny_text, 1, clock=probing_clock)
     assert seen and all(seen)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_collector_off_while_timing_and_restored(tiny_text, monkeypatch, collecting):
+    seen = []
+
+    def probing_clock():
+        seen.append(gc.isenabled())
+        return len(seen) * 0.001
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        measure(PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC), tiny_text, 2, clock=probing_clock)
+        assert len(seen) == 16 and not any(seen)
+        assert gc.isenabled() is collecting
+        # a round that raises restores the collector too
+        seen.clear()
+        monkeypatch.setattr("hybc.metrics.decompress_pipeline", lambda container: b"wrong")
+        with pytest.raises(RoundTripMismatch):
+            measure(PipelineSpec(CodecId.ZSTD), tiny_text, 2, clock=probing_clock)
+        assert len(seen) == 4 and not any(seen)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("spec", [PipelineSpec(CodecId.ZSTD),
+                                  PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)])
+def test_stalled_clock_fails(tiny_text, spec):
+    with pytest.raises(ValueError, match="strictly positive"):
+        measure(spec, tiny_text, 3, clock=lambda: 0.0)
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+def test_clock_read_four_times_per_stage_and_round(tiny_text, monkeypatch, reps):
+    """The read pattern perfbench's sample recorder parses: per stage an
+    untimed warm-up encode and decode, then per round a read before and after
+    the encode and the decode; the chain's container is checked once at the end."""
+    import hybc.metrics as metrics_mod
+
+    events = []
+    for name, tag in [("compress_pipeline", "enc"), ("compress_one", "enc"),
+                      ("decompress_pipeline", "dec"), ("decompress_one", "dec")]:
+        real = getattr(metrics_mod, name)
+        monkeypatch.setattr(metrics_mod, name,
+                            lambda *args, real=real, tag=tag: events.append(tag) or real(*args))
+
+    def clock():
+        events.append("t")
+        return len(events) * 0.001
+
+    stage = ["enc", "dec"] + ["t", "enc", "t", "t", "dec", "t"] * reps
+    zstd, hybrid = PipelineSpec(CodecId.ZSTD), PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)
+    measure(zstd, tiny_text, reps, clock=clock)
+    assert events == stage + ["dec"] and events.count("t") == 4 * reps
+    events.clear()
+    measure(hybrid, tiny_text, reps, clock=clock)
+    assert events == stage * 2 + ["dec"] and events.count("t") == 8 * reps
+    stages = {}
+    measure(zstd, tiny_text, reps, stages=stages)
+    events.clear()
+    measure(hybrid, tiny_text, reps, clock=clock, stages=stages)
+    assert events == stage + ["dec"] and events.count("t") == 4 * reps
 
 
 def test_median_ignores_one_slow_repetition(tiny_text):
@@ -245,6 +310,11 @@ def test_metrics_strictly_positive():
         {"original": 10, "compressed": 20, "tc": 0.0},
         {"original": 10, "compressed": 20, "td": -1.0},
         {"original": 10, "compressed": 20, "reps": 0},
+        {"original": 10.0, "compressed": 20},
+        {"original": 10, "compressed": "20"},
+        {"original": 10, "compressed": 20, "tc": True},
+        {"original": 10, "compressed": 20, "td": "1.0"},
+        {"original": 10, "compressed": 20, "reps": True},
     ],
 )
 def test_measurement_validation(kwargs):
