@@ -1,4 +1,4 @@
-"""ctypes bindings for the system zstd, brotli, and lz4 shared libraries.
+"""ctypes bindings for the system zstd, brotli, lz4 and libdeflate libraries.
 
 Only the small one-shot surface this package needs is bound. Buffers are
 passed to the libraries in place, so inputs may be bytes, bytearray or a
@@ -11,13 +11,18 @@ stream declares its decoded size (the zstd frame header, the LZ4HC length
 prefix), it is checked against the largest expansion the format allows and
 against the cap before a buffer of exactly that size is allocated, so a
 corrupted size claim never triggers a huge allocation. Brotli declares no
-size, so its buffer grows geometrically with its real output, up to the cap.
+size, so its buffer starts at sixteen times the stream length plus 1 KiB and
+grows geometrically with its real output, up to the cap.
+
+crc32 is libdeflate's libdeflate_crc32, which folds with carry-less multiplies,
+or zlib.crc32 where no libdeflate loads; both compute the same CRC-32.
 """
 from __future__ import annotations
 
 import ctypes
 import mmap
 import sys
+import zlib
 from ctypes import (
     POINTER,
     byref,
@@ -26,6 +31,7 @@ from ctypes import (
     c_size_t,
     c_ssize_t,
     c_uint,
+    c_uint32,
     c_ulonglong,
     c_void_p,
 )
@@ -228,15 +234,16 @@ def brotli_compress(data, quality: int, window_log: int) -> bytes:
 
 def brotli_decompress(data, cap: int = sys.maxsize) -> bytearray:
     """Decode one brotli stream to at most cap bytes. The output buffer starts
-    at four times the stream length plus 1 KiB and doubles while the decoder
-    asks for more room, so its size follows the real output, not the cap."""
+    at sixteen times the stream length plus 1 KiB (text at quality 6 expands
+    about 7-8x, so it seldom grows) and doubles while the decoder asks for
+    more room, so its size follows the real output, not the cap."""
     handle = _brdec.BrotliDecoderCreateInstance(None, None, None)
     if not handle:
         raise CodecFailure("brotli: cannot allocate decoder")
     try:
         with _Pinned(data) as (src, n):
             next_in, avail_in = c_void_p(src), c_size_t(n)
-            out = bytearray(min(4 * n + 1024, cap))
+            out = bytearray(min(16 * n + 1024, cap))
             written = 0
             while True:
                 with _Pinned(out) as (dst, size):
@@ -314,3 +321,37 @@ def lz4_decompress_block(block, decoded_size: int) -> bytearray:
     if got != decoded_size:
         raise CorruptStream(f"lz4: block decoded to {got} bytes, expected {decoded_size}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# crc-32
+
+
+def _load_libdeflate() -> ctypes.CDLL | None:
+    # Sonames only: find_library would import subprocess and run ldconfig in
+    # every process on a machine without libdeflate.
+    for name in ("libdeflate.so.0", "libdeflate.so", "libdeflate.dylib"):
+        try:
+            return ctypes.CDLL(name)
+        except OSError:
+            pass
+    return None
+
+
+_deflate = _load_libdeflate()
+if _deflate is not None:
+    _deflate.libdeflate_crc32.restype = c_uint32
+    _deflate.libdeflate_crc32.argtypes = [c_uint32, c_void_p, c_size_t]
+
+
+def _libdeflate_crc32(data) -> int:
+    with _Pinned(data) as (buf, n):
+        return _deflate.libdeflate_crc32(0, buf, n)
+
+
+# crc32(data): the CRC-32 of a bytes-like object, the value zlib.crc32(data) returns.
+crc32 = zlib.crc32 if _deflate is None else _libdeflate_crc32
+
+
+def crc32_version() -> str:
+    return f"zlib {zlib.ZLIB_RUNTIME_VERSION}" if _deflate is None else "libdeflate"

@@ -74,6 +74,7 @@ def library_versions() -> dict[str, str]:
         "brotli": _native.brotli_version(),
         "bzip2": py,
         "lz4": _native.lz4_version(),
+        "crc32": _native.crc32_version(),
     }
 
 

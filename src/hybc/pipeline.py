@@ -8,9 +8,9 @@ knowledge and silent corruption cannot pass unnoticed.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
+from ._native import crc32
 from .codecs import CodecId, compress_one, decompress_one, stream_bound
 from .errors import (
     BadMagic,
@@ -140,7 +140,7 @@ def frame(spec: PipelineSpec, data: bytes, payload) -> bytes:
         first_codec=spec.first,
         second_codec=spec.second,
         original_len=len(data),
-        original_crc32=zlib.crc32(data),
+        original_crc32=crc32(data),
     )
     return serialize_header(header) + payload
 
@@ -163,6 +163,6 @@ def decompress_pipeline(container) -> bytearray:
         raise IntegrityMismatch(
             f"decoded {len(data)} bytes, header says {header.original_len}"
         )
-    if zlib.crc32(data) != header.original_crc32:
+    if crc32(data) != header.original_crc32:
         raise IntegrityMismatch("CRC-32 of decoded payload does not match header")
     return data

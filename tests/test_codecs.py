@@ -1,6 +1,12 @@
 import ctypes
+import os
+import random
 import struct
+import subprocess
+import sys
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -213,5 +219,88 @@ def test_load_falls_back_to_find_library():
 
 def test_library_versions_reported():
     versions = library_versions()
-    assert set(versions) == {"lzma", "zstd", "brotli", "bzip2", "lz4"}
+    assert set(versions) == {"lzma", "zstd", "brotli", "bzip2", "lz4", "crc32"}
     assert all(versions.values())
+    assert versions["crc32"] in ("libdeflate", f"zlib {zlib.ZLIB_RUNTIME_VERSION}")
+
+
+# 65,537 bytes: an odd length, long enough for libdeflate's folding loop
+_ODD = random.Random(5).randbytes(65_537)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"", id="empty"),
+    pytest.param(b"\xa5", id="one-byte"),
+    pytest.param(_ODD, id="odd-length"),
+    pytest.param(memoryview(_ODD)[1:], id="unaligned-memoryview"),
+    pytest.param(bytearray(_ODD), id="bytearray"),
+])
+def test_crc32_equals_zlib(data):
+    assert _native.crc32(data) == zlib.crc32(data)
+
+
+def test_crc32_equals_zlib_on_large_tier():
+    large = generate_synthetic(SizeClass.LARGE, 42)
+    assert _native.crc32(large) == zlib.crc32(large)
+
+
+_WITHOUT_LIBDEFLATE = """
+import ctypes, sys, zlib
+
+class RefuseDeflate(ctypes.CDLL):
+    def __init__(self, name, *args, **kwargs):
+        if name and "deflate" in name:
+            raise OSError(f"{name}: refused")
+        super().__init__(name, *args, **kwargs)
+
+ctypes.CDLL = RefuseDeflate
+before = set(sys.modules)
+import hybc
+from hybc import CodecId, IntegrityMismatch, PipelineSpec, _native
+from hybc import compress_pipeline, decompress_pipeline, library_versions
+assert "subprocess" not in set(sys.modules) - before
+assert _native.crc32 is zlib.crc32
+assert library_versions()["crc32"] == "zlib " + zlib.ZLIB_RUNTIME_VERSION
+text = "अक्षर text ".encode() * 300
+container = bytearray(compress_pipeline(PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC), text))
+assert decompress_pipeline(container) == text
+container[16] ^= 0x01  # the first byte of the header's CRC-32
+try:
+    decompress_pipeline(container)
+except IntegrityMismatch:
+    print("rejected")
+"""
+
+
+def test_crc32_falls_back_to_zlib_without_libdeflate():
+    """Where no libdeflate soname loads, hybc imports without a library
+    search, takes zlib's CRC-32, and still round-trips and rejects a
+    container whose CRC-32 does not match."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_LIBDEFLATE],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected"]
+
+
+def test_brotli_output_regrows_up_to_cap(monkeypatch):
+    # 4 MiB of zeros compress to a few bytes, far past the sixteen-fold start
+    # buffer, so the decoder asks for more room until the output fits; one
+    # byte less room than the output needs is refused
+    data = bytes(4 << 20)
+    stream = compress_one(CodecId.BROTLI, data)
+    results = []
+    decode = _native._brdec.BrotliDecoderDecompressStream
+
+    def recording(*args):
+        results.append(decode(*args))
+        return results[-1]
+
+    monkeypatch.setattr(_native._brdec, "BrotliDecoderDecompressStream", recording)
+    assert decompress_one(CodecId.BROTLI, stream, len(data)) == data
+    assert _native._BROTLI_RESULT_NEEDS_MORE_OUTPUT in results
+    assert results[-1] == _native._BROTLI_RESULT_SUCCESS
+    with pytest.raises(CorruptStream, match="more than the"):
+        decompress_one(CodecId.BROTLI, stream, len(data) - 1)

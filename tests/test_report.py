@@ -187,7 +187,7 @@ def test_measurements_emitter():
 def test_environment_metadata_contents():
     meta = environment_metadata(repetitions=5)
     assert set(meta["codec_library_versions"]) == {
-        "lzma", "zstd", "brotli", "bzip2", "lz4",
+        "lzma", "zstd", "brotli", "bzip2", "lz4", "crc32",
     }
     assert meta["clock"]["monotonic"] is True
     assert meta["clock"]["resolution_seconds"] > 0
