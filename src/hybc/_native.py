@@ -1,5 +1,9 @@
 """ctypes bindings for the system zstd, brotli, lz4 and libdeflate libraries.
 
+Each library is opened by the first of its listed sonames that loads and is
+searched for nowhere else; where none loads, the import raises CodecFailure
+(libdeflate alone is optional).
+
 Only the small one-shot surface this package needs is bound. Buffers are
 passed to the libraries in place, so inputs may be bytes, bytearray or a
 memoryview and are never copied. A decoder writes into one bytearray and
@@ -42,19 +46,18 @@ from .errors import CodecFailure, CorruptStream
 LZ4_MAX_INPUT_SIZE = 0x7E000000
 
 
-def _load(*candidates: str) -> ctypes.CDLL:
-    err: OSError | None = None
-    for name in candidates:
+def _load(*sonames: str) -> ctypes.CDLL:
+    # No search by library stem: on Linux ctypes' lookup answers with the name
+    # in `ldconfig -p` or the library's recorded soname, the first one listed
+    # here, so it could only retry a failed name (after importing subprocess)
+    # or find another major version that the prototypes below do not fit.
+    errors = []
+    for name in sonames:
         try:
             return ctypes.CDLL(name)
         except OSError as exc:
-            err = exc
-    from ctypes.util import find_library  # pulls in subprocess: import on need
-    stem = candidates[0].removeprefix("lib").split(".")[0]
-    found = find_library(stem)
-    if found:
-        return ctypes.CDLL(found)
-    raise CodecFailure(f"cannot load shared library {candidates[0]!r}: {err}")
+            errors.append(exc)
+    raise CodecFailure(f"cannot load shared library {' or '.join(sonames)}: {errors[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +330,11 @@ def lz4_decompress_block(block, decoded_size: int) -> bytearray:
 # crc-32
 
 
-def _load_libdeflate() -> ctypes.CDLL | None:
-    # Sonames only: find_library would import subprocess and run ldconfig in
-    # every process on a machine without libdeflate.
-    for name in ("libdeflate.so.0", "libdeflate.so", "libdeflate.dylib"):
-        try:
-            return ctypes.CDLL(name)
-        except OSError:
-            pass
-    return None
-
-
-_deflate = _load_libdeflate()
-if _deflate is not None:
+try:
+    _deflate = _load("libdeflate.so.0", "libdeflate.so", "libdeflate.dylib")
+except CodecFailure:
+    _deflate = None
+else:
     _deflate.libdeflate_crc32.restype = c_uint32
     _deflate.libdeflate_crc32.argtypes = [c_uint32, c_void_p, c_size_t]
 

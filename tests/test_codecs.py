@@ -210,11 +210,50 @@ def test_lz4_wrong_declared_length_rejected():
         decompress_one(CodecId.LZ4HC, off_by_one)
 
 
-def test_load_falls_back_to_find_library():
-    """When no listed soname loads, the library is looked up by its stem."""
-    assert _native._load("libzstd.so.999", "libzstd.so.998").ZSTD_versionNumber() > 0
-    with pytest.raises(CodecFailure, match="libhybc_missing"):
-        _native._load("libhybc_missing.so.1")
+def test_load_takes_the_first_soname_that_loads():
+    assert _native._load("libzstd.so.999", "libzstd.so.1").ZSTD_versionNumber() > 0
+    # the message names every soname tried, then the first one's error
+    with pytest.raises(CodecFailure, match=r"libhybc_missing\.so\.1 or libhybc_missing\.so: "
+                                           r".*libhybc_missing\.so\.1"):
+        _native._load("libhybc_missing.so.1", "libhybc_missing.so")
+
+
+_WITHOUT_LIBRARY = """
+import ctypes, sys
+refused = sys.argv[1]
+
+class Refuse(ctypes.CDLL):
+    def __init__(self, name, *args, **kwargs):
+        if name and refused in name:
+            raise OSError(f"{name}: refused")
+        super().__init__(name, *args, **kwargs)
+
+ctypes.CDLL = Refuse
+before = set(sys.modules)
+try:
+    import hybc
+except Exception as exc:
+    print(type(exc).__name__, exc)
+added = set(sys.modules) - before
+print("searched:", *sorted(added & {"subprocess", "ctypes.util"}))
+"""
+
+
+@pytest.mark.parametrize("library", ["zstd", "brotlienc", "brotlidec", "lz4"])
+def test_missing_library_fails_import_with_codec_failure(library):
+    """Where none of a required library's sonames loads, import hybc raises
+    CodecFailure naming them, without running a library search."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_LIBRARY, library],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    failure, searched = proc.stdout.splitlines()
+    first = f"lib{library}.so.1"
+    assert failure.startswith(f"CodecFailure cannot load shared library {first} or ")
+    assert failure.endswith(f": {first}: refused")
+    assert searched == "searched:"
 
 
 def test_library_versions_reported():
