@@ -10,6 +10,10 @@ memoryview and are never copied. A decoder writes into one bytearray and
 returns it. An encoder writes into an anonymous mapping of the compress bound,
 which the kernel backs only where the library writes, and copies out only the
 bytes it wrote; a bound is 0 where no stream of that input length can exist.
+The Zstd and LZ4 decoders know their exact output size and zero-fill it, so
+a rejected stream touches the same memory wherever its fault lies. The Brotli
+decoder's buffer is a guess, so it is allocated and grown without
+zero-filling. A decoder returns only bytes the library reports it wrote.
 A decoder takes an optional cap, the most bytes its output may hold. Where a
 stream declares its decoded size (the zstd frame header, the LZ4HC length
 prefix), it is checked against the largest expansion the format allows and
@@ -81,6 +85,15 @@ _get_buffer.argtypes = [ctypes.py_object, POINTER(_PyBuffer), c_int]
 _release_buffer = ctypes.pythonapi.PyBuffer_Release
 _release_buffer.restype = None
 _release_buffer.argtypes = [POINTER(_PyBuffer)]
+# _new_bytearray(None, n) and _resize(out, n): a bytearray of n bytes and
+# resizing one to n bytes, neither writing the new bytes, which only the
+# Brotli decoder fills. A resize fails while a _Pinned block holds the bytearray.
+_new_bytearray = ctypes.pythonapi.PyByteArray_FromStringAndSize
+_new_bytearray.restype = ctypes.py_object
+_new_bytearray.argtypes = [c_char_p, c_ssize_t]
+_resize = ctypes.pythonapi.PyByteArray_Resize
+_resize.restype = c_int
+_resize.argtypes = [ctypes.py_object, c_ssize_t]
 
 
 class _Pinned:
@@ -174,8 +187,10 @@ def zstd_decompress(data, cap: int = sys.maxsize) -> bytearray:
         out = bytearray(declared)
         with _Pinned(out) as (dst, _):
             code = _zstd.ZSTD_decompress(dst, declared, src, n)
-    if _zstd.ZSTD_isError(code):  # includes a frame decoding to other than declared
+    if _zstd.ZSTD_isError(code):
         raise CorruptStream(f"zstd: {_zstd_error(code)}")
+    if code != declared:
+        raise CorruptStream(f"zstd: frame decoded to {code} bytes, declared {declared}")
     return out
 
 
@@ -246,7 +261,7 @@ def brotli_decompress(data, cap: int = sys.maxsize) -> bytearray:
     try:
         with _Pinned(data) as (src, n):
             next_in, avail_in = c_void_p(src), c_size_t(n)
-            out = bytearray(min(16 * n + 1024, cap))
+            out = _new_bytearray(None, min(16 * n + 1024, cap))
             written = 0
             while True:
                 with _Pinned(out) as (dst, size):
@@ -269,7 +284,7 @@ def brotli_decompress(data, cap: int = sys.maxsize) -> bytearray:
                     raise CorruptStream("brotli: invalid stream")
                 if size >= cap:
                     raise CorruptStream(f"brotli: stream decodes to more than the {cap} bytes allowed")
-                out += bytes(min(size, cap - size))
+                _resize(out, min(2 * size, cap))
     finally:
         _brdec.BrotliDecoderDestroyInstance(handle)
 

@@ -2,23 +2,24 @@
 
 Exit codes: 0 on success, 1 for runtime/IO/integrity failures, 2 for usage
 errors (click's convention, kept deliberately).
+
+`compress`, `decompress` and `--version` load only click, pipeline and
+metrics: the bench, report and scoring modules (and json) are imported by
+the `bench` and `report` commands that use them. `run_bench`,
+`write_reports` and `environment_metadata` are still attributes of this
+module, resolved on first use, and the commands call them through it, so a
+caller that replaces one of them with `setattr` replaces the one that runs.
 """
 from __future__ import annotations
 
-import json
+import sys
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from .bench import (
-    BenchRow,
-    rank_by_dataset,
-    read_measurements,
-    run_bench,
-    write_analysis_reports,
-    write_reports,
-)
 from .errors import HybcError
 from .metrics import DsBasis, compression_ratio
 from .pipeline import (
@@ -29,8 +30,24 @@ from .pipeline import (
     enumerate_pipelines,
     pipeline_from_name,
 )
-from .report import FORMATS, environment_metadata
-from .scoring import Weights
+
+if TYPE_CHECKING:
+    from .bench import BenchRow
+    from .scoring import Weights
+
+_LAZY = {"run_bench": "bench", "write_reports": "bench", "environment_metadata": "report"}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __package__), name)
+
+
+# The commands call the names above through the module, never a local binding.
+_this = sys.modules[__name__]
 
 
 def _parse_pipeline(name: str) -> PipelineSpec:
@@ -41,6 +58,8 @@ def _parse_pipeline(name: str) -> PipelineSpec:
 
 
 def _parse_weights(text: str) -> Weights:
+    from .scoring import Weights
+
     parts = text.split(",")
     if len(parts) != 3:
         raise click.UsageError('weights must be three comma-separated numbers, e.g. "0.4,0.3,0.3"')
@@ -51,6 +70,8 @@ def _parse_weights(text: str) -> Weights:
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
+    from .report import FORMATS
+
     formats = tuple(dict.fromkeys(p.strip().lower() for p in text.split(",") if p.strip()))
     unknown = set(formats) - set(FORMATS)
     if not formats or unknown:
@@ -181,9 +202,9 @@ def bench(inputs, pipelines, reps, weights, ds_basis, out_dir, formats, head_to_
     except OSError as exc:
         raise click.ClickException(f"cannot create {out_dir}: {exc}") from exc
     click.echo(f"benchmarking {len(inputs)} input(s), reps={reps}")
-    rows = run_bench([Path(p) for p in inputs], specs, reps, progress=_echo_row)
+    rows = _this.run_bench([Path(p) for p in inputs], specs, reps, progress=_echo_row)
     try:
-        written = write_reports(rows, outdir, formats, weights, ds_basis, head_to_head, reps)
+        written = _this.write_reports(rows, outdir, formats, weights, ds_basis, head_to_head, reps)
     except OSError as exc:
         raise click.ClickException(f"cannot write reports: {exc}") from exc
     click.echo(f"wrote {len(written)} report file(s) to {outdir}")
@@ -198,6 +219,10 @@ def bench(inputs, pipelines, reps, weights, ds_basis, out_dir, formats, head_to_
 def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head) -> None:
     """Re-rank saved measurements and re-emit analysis reports, optionally
     with different weights or speed basis, without re-benchmarking."""
+    import json
+
+    from .bench import rank_by_dataset, read_measurements, write_analysis_reports
+
     raw = _read_bytes(measurements_file)
     try:
         doc = json.loads(raw)
@@ -212,7 +237,7 @@ def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head)
         raise click.ClickException("measurements file holds no successful rows")
     if not rankings:
         raise click.ClickException("no dataset has the 2+ rows needed for ranking")
-    own = environment_metadata(ds_basis=ds_basis, weights=weights)
+    own = _this.environment_metadata(ds_basis=ds_basis, weights=weights)
     metadata = {**environment, "ds_basis": own["ds_basis"], "weights": own["weights"]}
     try:
         written = write_analysis_reports(

@@ -232,6 +232,18 @@ def test_traced_run_layer_calls_succeed(layers, small_corpus):
 # ---------------------------------------------------------------------------
 # CLI
 
+def _child(code: str, *args) -> str:
+    """Run code in a fresh interpreter with this checkout's src/ on the path;
+    its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 _LIST_NEW_MODULES = """
 import importlib, sys
 before = set(sys.modules)
@@ -239,30 +251,123 @@ importlib.import_module(sys.argv[1])
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
+# What only the bench and report commands run.
+_BENCH_STACK = ("hybc.bench", "hybc.report", "hybc.scoring", "hybc.corpus", "json", "csv")
+
 
 @pytest.mark.parametrize(
     "module, forbidden",
     [
         ("hybc.cli", ("xml", "urllib.request", "http.client", "ssl", "email", "subprocess",
-                      "ctypes.util", "statistics", "fractions", "decimal")),
-        ("hybc", ("subprocess", "ctypes.util", "statistics", "fractions", "decimal")),
+                      "ctypes.util", "statistics", "fractions", "decimal", *_BENCH_STACK)),
+        ("hybc", ("subprocess", "ctypes.util", "statistics", "fractions", "decimal",
+                  "hybc.codecs", "hybc.metrics", "hybc.pipeline", "hybc.cli", *_BENCH_STACK)),
     ],
 )
 def test_import_loads_no_unused_stdlib(module, forbidden):
     """Start-up imports nothing hybc does not run: no XML escaping that drags in
     urllib, http, ssl and email, no ctypes.util or subprocess for a library
     lookup, and no statistics module (with fractions and decimal) for a
-    median."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", _LIST_NEW_MODULES, module],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    added = out.split()
+    median. `import hybc` loads no submodule but errors and _native, and the
+    CLI leaves the benchmark and report stack to the commands that run it."""
+    added = _child(_LIST_NEW_MODULES, module).split()
     assert module in added
     loaded = [m for m in added for f in forbidden if m == f or m.startswith(f + ".")]
     assert not loaded, loaded
+
+
+_RUN_MAIN = """
+import sys
+from hybc.cli import main
+main(sys.argv[1:], standalone_mode=False)
+print(*sorted(set(sys.modules) & {stack}))
+"""
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress", "--version", "bench"])
+def test_cli_command_loads_the_bench_stack_only_for_bench(command, tmp_path, tiny_text):
+    text = tmp_path / "in.txt"
+    text.write_bytes(tiny_text)
+    container = tmp_path / "in.hybc"
+    container.write_bytes(compress_pipeline(pipeline_from_name("Zstd"), tiny_text))
+    argv = {
+        "compress": ["compress", "-p", "Zstd", text, tmp_path / "out.hybc"],
+        "decompress": ["decompress", container, tmp_path / "out.txt"],
+        "--version": ["--version"],
+        "bench": ["bench", text, "--pipelines", "Zstd", "--reps", "1", "--out", tmp_path / "r"],
+    }[command]
+    out = _child(_RUN_MAIN.format(stack=set(_BENCH_STACK)), *argv)
+    loaded = out.splitlines()[-1].split()
+    assert loaded == (sorted(_BENCH_STACK) if command == "bench" else [])
+
+
+_PATCH_THROUGH = """
+import sys
+import hybc.cli as cli
+
+assert "hybc.bench" not in sys.modules and "hybc.report" not in sys.modules
+calls = []
+
+def recorder(name, result):
+    def record(*args, **kwargs):
+        calls.append(name)
+        return result
+    return record
+
+for name in sys.argv[1].split(","):
+    setattr(cli, name, recorder(name, {"run_bench": [], "write_reports": [],
+        "environment_metadata": {"ds_basis": "compressed", "weights": [0.4, 0.3, 0.3]}}[name]))
+cli.main(sys.argv[2:], standalone_mode=False)
+print(*calls)
+"""
+
+
+@pytest.mark.parametrize("command, patched", [
+    ("bench", "run_bench,write_reports"),
+    ("report", "environment_metadata"),
+])
+def test_cli_runs_the_names_patched_on_it(command, patched, tmp_path):
+    """A name set on hybc.cli before hybc.bench and hybc.report are first
+    imported is the one the command calls, as the traced benchmark run
+    relies on."""
+    measurements = tmp_path / "measurements.json"
+    measurements.write_bytes(_measurements_doc({}, {"pipeline": "LZ4HC"}))
+    argv = {
+        "bench": ["bench", "x.txt", "--out", tmp_path / "r"],
+        "report": ["report", measurements, "--format", "csv", "--out", tmp_path / "r"],
+    }[command]
+    out = _child(_PATCH_THROUGH, patched, *argv)
+    assert out.splitlines()[-1].split() == patched.split(",")
+
+
+_LAZY_NAMESPACE = """
+import importlib, sys
+import hybc
+
+namespace = {}
+exec("from hybc import *", namespace)
+assert set(hybc.__all__) <= set(namespace), set(hybc.__all__) - set(namespace)
+assert set(hybc.__all__) <= set(dir(hybc))
+for name in hybc.__all__:
+    home = importlib.import_module(f"hybc.{hybc._SUBMODULE[name]}")
+    assert getattr(hybc, name) is getattr(home, name) is namespace[name], name
+try:
+    hybc.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("hybc.no_such_name resolved")
+from hybc import bench, cli, metrics, pipeline, _native
+assert [m.__name__ for m in (bench, cli, metrics, pipeline, _native)] == [
+    "hybc.bench", "hybc.cli", "hybc.metrics", "hybc.pipeline", "hybc._native"]
+print("ok")
+"""
+
+
+def test_lazy_namespace_binds_every_public_name():
+    """Each name in hybc.__all__ is its submodule's object, through attribute
+    access, `from hybc import *` and dir(); submodules still import by name."""
+    assert _child(_LAZY_NAMESPACE) == "ok\n"
 
 
 def test_cli_compress_decompress_round_trip(runner, tmp_path, tiny_text):

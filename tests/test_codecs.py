@@ -23,6 +23,7 @@ from hybc.codecs import (
 )
 from hybc.corpus import SizeClass, generate_synthetic
 from hybc.errors import CodecFailure, CorruptStream
+from hybc.pipeline import PipelineSpec, compress_pipeline, decompress_pipeline
 
 ALL_CODECS = list(CodecId)
 
@@ -210,6 +211,15 @@ def test_lz4_wrong_declared_length_rejected():
         decompress_one(CodecId.LZ4HC, off_by_one)
 
 
+def test_zstd_short_decode_rejected(monkeypatch):
+    # a frame that writes fewer bytes than it declares must not return the
+    # unwritten tail of the output buffer
+    frame = compress_one(CodecId.ZSTD, b"x" * 500)
+    monkeypatch.setattr(_native._zstd, "ZSTD_decompress", lambda dst, cap, src, n: cap - 1)
+    with pytest.raises(CorruptStream, match="decoded to 499 bytes, declared 500"):
+        decompress_one(CodecId.ZSTD, frame)
+
+
 def test_load_takes_the_first_soname_that_loads():
     assert _native._load("libzstd.so.999", "libzstd.so.1").ZSTD_versionNumber() > 0
     # the message names every soname tried, then the first one's error
@@ -343,3 +353,21 @@ def test_brotli_output_regrows_up_to_cap(monkeypatch):
     assert results[-1] == _native._BROTLI_RESULT_SUCCESS
     with pytest.raises(CorruptStream, match="more than the"):
         decompress_one(CodecId.BROTLI, stream, len(data) - 1)
+
+
+def test_brotli_regrown_output_holds_only_decoded_bytes():
+    # a 256-byte cycle compresses far past the sixteen-fold start buffer, so
+    # the output is resized (without zero-filling) several times; every byte
+    # returned must be one the decoder wrote
+    data = bytes(range(256)) * (16 << 10)
+    stream = compress_one(CodecId.BROTLI, data)
+    assert 16 * len(stream) + 1024 < len(data) // 4
+    assert decompress_one(CodecId.BROTLI, stream, len(data)) == data
+
+
+def test_lz4hc_then_brotli_round_trip_on_large_tier():
+    # Brotli as the second stage barely expands the LZ4HC stream, so its start
+    # buffer is sized at the cap, far beyond the bytes it decodes
+    large = generate_synthetic(SizeClass.LARGE, 1)
+    spec = PipelineSpec(CodecId.LZ4HC, CodecId.BROTLI)
+    assert decompress_pipeline(compress_pipeline(spec, large)) == large
