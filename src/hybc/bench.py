@@ -178,7 +178,7 @@ def read_measurements(doc: dict) -> list[Measurement]:
 
 def write_reports(
     rows: Sequence[BenchRow], outdir: Path, formats: Sequence[str], weights: Weights,
-    ds_basis: DsBasis, head_to_head: PipelineSpec | None, repetitions: int,
+    ds_basis: DsBasis, head_to_head: PipelineSpec, repetitions: int,
 ) -> list[Path]:
     """Write the measurements plus every analysis report; returns the paths."""
     metadata = environment_metadata(repetitions=repetitions, ds_basis=ds_basis, weights=weights)
@@ -192,7 +192,7 @@ def write_reports(
 
 def write_analysis_reports(
     rankings: dict[str, list[EfficiencyRow]], outdir: Path, formats: Sequence[str],
-    weights: Weights, head_to_head: PipelineSpec | None, metadata: dict,
+    weights: Weights, head_to_head: PipelineSpec, metadata: dict,
 ) -> list[Path]:
     """Ranking, head-to-head, balance, and frequency files per requested format."""
     tables: list[tuple[str, Table]] = []
@@ -221,9 +221,7 @@ def _write(outdir: Path, stem: str, table: Table, formats: Sequence[str],
 
 
 def _head_to_head_rows(
-    rows: Sequence[EfficiencyRow], challenger: PipelineSpec | None
+    rows: Sequence[EfficiencyRow], challenger: PipelineSpec
 ) -> list[EfficiencyRow]:
     """The challenger plus every standalone codec, in ranking order."""
-    if challenger is None:
-        return []
     return [r for r in rows if r.pipeline == challenger or not r.pipeline.is_hybrid]

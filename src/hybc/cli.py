@@ -4,16 +4,11 @@ Exit codes: 0 on success, 1 for runtime/IO/integrity failures, 2 for usage
 errors (click's convention, kept deliberately).
 
 `compress`, `decompress` and `--version` load only click, pipeline and
-metrics: the bench, report and scoring modules (and json) are imported by
-the `bench` and `report` commands that use them. `run_bench`,
-`write_reports` and `environment_metadata` are still attributes of this
-module, resolved on first use, and the commands call them through it, so a
-caller that replaces one of them with `setattr` replaces the one that runs.
+metrics: the bench, report and scoring modules (and json) are imported inside
+the functions that the `bench` and `report` commands call.
 """
 from __future__ import annotations
 
-import sys
-from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,19 +30,23 @@ if TYPE_CHECKING:
     from .bench import BenchRow
     from .scoring import Weights
 
-_LAZY = {"run_bench": "bench", "write_reports": "bench", "environment_metadata": "report"}
+
+def run_bench(*args, **kwargs) -> list[BenchRow]:
+    from .bench import run_bench
+
+    return run_bench(*args, **kwargs)
 
 
-def __getattr__(name: str):
-    try:
-        module = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(import_module(f".{module}", __package__), name)
+def write_reports(*args, **kwargs) -> list[Path]:
+    from .bench import write_reports
+
+    return write_reports(*args, **kwargs)
 
 
-# The commands call the names above through the module, never a local binding.
-_this = sys.modules[__name__]
+def environment_metadata(**kwargs) -> dict:
+    from .report import environment_metadata
+
+    return environment_metadata(**kwargs)
 
 
 def _parse_pipeline(name: str) -> PipelineSpec:
@@ -202,9 +201,9 @@ def bench(inputs, pipelines, reps, weights, ds_basis, out_dir, formats, head_to_
     except OSError as exc:
         raise click.ClickException(f"cannot create {out_dir}: {exc}") from exc
     click.echo(f"benchmarking {len(inputs)} input(s), reps={reps}")
-    rows = _this.run_bench([Path(p) for p in inputs], specs, reps, progress=_echo_row)
+    rows = run_bench([Path(p) for p in inputs], specs, reps, progress=_echo_row)
     try:
-        written = _this.write_reports(rows, outdir, formats, weights, ds_basis, head_to_head, reps)
+        written = write_reports(rows, outdir, formats, weights, ds_basis, head_to_head, reps)
     except OSError as exc:
         raise click.ClickException(f"cannot write reports: {exc}") from exc
     click.echo(f"wrote {len(written)} report file(s) to {outdir}")
@@ -237,7 +236,7 @@ def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head)
         raise click.ClickException("measurements file holds no successful rows")
     if not rankings:
         raise click.ClickException("no dataset has the 2+ rows needed for ranking")
-    own = _this.environment_metadata(ds_basis=ds_basis, weights=weights)
+    own = environment_metadata(ds_basis=ds_basis, weights=weights)
     metadata = {**environment, "ds_basis": own["ds_basis"], "weights": own["weights"]}
     try:
         written = write_analysis_reports(

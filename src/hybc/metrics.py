@@ -104,8 +104,9 @@ def measure(
     with _MEASUREMENT_LOCK:
         first = stages.get(spec.first)
         if first is None:
+            alone = PipelineSpec(spec.first)
             first = stages[spec.first] = _time_stage(
-                lambda: compress_pipeline(PipelineSpec(spec.first), data),
+                lambda: compress_pipeline(alone, data),
                 decompress_pipeline, data, repetitions, clock, name,
             )
         elif len(first.compress) != repetitions:

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import hybc.bench as bench_mod
+import hybc.cli as cli_mod
 from hybc.bench import rank_by_dataset, run_bench, write_reports
 from hybc.cli import main
 from hybc.codecs import CodecId, compress_one
@@ -340,6 +341,24 @@ def test_cli_runs_the_names_patched_on_it(command, patched, tmp_path):
     assert out.splitlines()[-1].split() == patched.split(",")
 
 
+_PLAIN_GLOBALS = """
+import sys
+import hybc.cli as cli
+
+assert {"run_bench", "write_reports", "environment_metadata"} <= set(vars(cli)), sorted(vars(cli))
+assert "__getattr__" not in vars(cli)
+assert "hybc.bench" not in sys.modules and "hybc.report" not in sys.modules
+print("ok")
+"""
+
+
+def test_cli_bench_stack_names_are_plain_globals():
+    """The names the bench and report commands call are functions defined on
+    hybc.cli itself, not attributes resolved on first access, and defining
+    them imports neither hybc.bench nor hybc.report."""
+    assert _child(_PLAIN_GLOBALS) == "ok\n"
+
+
 _LAZY_NAMESPACE = """
 import importlib, sys
 import hybc
@@ -660,3 +679,65 @@ def test_cli_out_naming_a_file_fails_cleanly(runner, tmp_path, tiny_text, monkey
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: cannot write reports")
+
+
+def test_cli_bench_empty_pipeline_list_is_usage_error(runner):
+    result = runner.invoke(main, ["bench", "x.txt", "--pipelines", ","])
+    assert result.exit_code == 2
+    assert "--pipelines received an empty list" in result.output
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([_OK_ROW | {"status": "error"}], "measurements file holds no successful rows"),
+    ([_OK_ROW, _OK_ROW | {"dataset": "e"}], "no dataset has the 2+ rows needed for ranking"),
+])
+def test_cli_report_with_nothing_to_rank_fails(runner, tmp_path, rows, message):
+    measurements = tmp_path / "m.json"
+    measurements.write_text(json.dumps({"rows": rows}))
+    result = runner.invoke(main, ["report", str(measurements), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress"])
+def test_cli_output_naming_a_directory_fails_cleanly(runner, tmp_path, tiny_text, command):
+    compressing = command == "compress"
+    src = tmp_path / "in"
+    packed = compress_pipeline(PipelineSpec(CodecId.ZSTD), tiny_text)
+    src.write_bytes(tiny_text if compressing else packed)
+    options = ["-p", "Zstd"] if compressing else []
+    result = runner.invoke(main, [command, *options, str(src), str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"Error: cannot write {tmp_path}: ")
+    assert len(result.output.splitlines()) == 1
+
+
+def test_cli_bench_unwritable_measurements_file_fails_cleanly(runner, tmp_path, tiny_text):
+    src = tmp_path / "in.txt"
+    src.write_bytes(tiny_text)
+    out = tmp_path / "reports"
+    (out / "measurements.csv").mkdir(parents=True)
+    result = runner.invoke(
+        main, ["bench", str(src), "--pipelines", "Zstd", "--reps", "1", "--format", "csv",
+               "--out", str(out)],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1].startswith("Error: cannot write reports: ")
+
+
+def test_cli_compress_codec_failure_fails_in_one_line(runner, tmp_path, tiny_text, monkeypatch):
+    def fail(spec, data):
+        raise CodecFailure("Zstd encoder failed: out of memory")
+
+    monkeypatch.setattr(cli_mod, "compress_pipeline", fail)
+    src = tmp_path / "in.txt"
+    src.write_bytes(tiny_text)
+    result = runner.invoke(main, ["compress", "-p", "Zstd", str(src), str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "Error: Zstd encoder failed: out of memory\n"
+    assert not (tmp_path / "o").exists()

@@ -1,4 +1,5 @@
 import ctypes
+import lzma
 import os
 import random
 import struct
@@ -218,6 +219,28 @@ def test_zstd_short_decode_rejected(monkeypatch):
     monkeypatch.setattr(_native._zstd, "ZSTD_decompress", lambda dst, cap, src, n: cap - 1)
     with pytest.raises(CorruptStream, match="decoded to 499 bytes, declared 500"):
         decompress_one(CodecId.ZSTD, frame)
+
+
+def test_stdlib_encoder_fault_becomes_codec_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise lzma.LZMAError("out of memory")
+
+    monkeypatch.setattr(lzma, "compress", fail)
+    with pytest.raises(CodecFailure, match="LZMA encoder failed: out of memory") as caught:
+        compress_one(CodecId.LZMA, b"data")
+    assert isinstance(caught.value.__cause__, lzma.LZMAError)
+
+
+def test_native_codec_failure_passes_through_unwrapped(monkeypatch):
+    failure = CodecFailure("ZSTD_compress: Allocation error : not enough memory")
+
+    def fail(*args):
+        raise failure
+
+    monkeypatch.setattr(_native, "zstd_compress", fail)
+    with pytest.raises(CodecFailure) as caught:
+        compress_one(CodecId.ZSTD, b"data")
+    assert caught.value is failure
 
 
 def test_load_takes_the_first_soname_that_loads():
