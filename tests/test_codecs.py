@@ -243,6 +243,38 @@ def test_native_codec_failure_passes_through_unwrapped(monkeypatch):
     assert caught.value is failure
 
 
+# (size_t)-ZSTD_error_memory_allocation: an error code, as ZSTD_isError sees it
+_ZSTD_ALLOCATION_ERROR = 2**64 - 64
+
+
+@pytest.mark.parametrize("codec, decode, target, name, fake, message", [
+    pytest.param(CodecId.ZSTD, False, _native._zstd, "ZSTD_compress",
+                 lambda *args: _ZSTD_ALLOCATION_ERROR,
+                 r"^zstd compress: Allocation error", id="zstd-compress-error"),
+    pytest.param(CodecId.BROTLI, False, _native._brenc, "BrotliEncoderCompress",
+                 lambda *args: 0,
+                 r"^brotli compress: encoder reported failure$", id="brotli-compress-failure"),
+    pytest.param(CodecId.BROTLI, True, _native._brdec, "BrotliDecoderCreateInstance",
+                 lambda *args: None,
+                 r"^brotli: cannot allocate decoder$", id="brotli-decoder-null"),
+    pytest.param(CodecId.LZ4HC, False, _native, "lz4_bound",
+                 lambda n: 0,
+                 r"^lz4: input exceeds the single-block limit$", id="lz4-bound-zero"),
+    pytest.param(CodecId.LZ4HC, False, _native._lz4, "LZ4_compress_HC",
+                 lambda *args: 0,
+                 r"^lz4: LZ4_compress_HC returned 0$", id="lz4-compress-zero"),
+])
+def test_native_library_failure_names_the_library(monkeypatch, codec, decode, target, name,
+                                                  fake, message):
+    # a failure the library reports reaches the caller as the CodecFailure
+    # that names it, not wrapped in the generic "<codec> encoder failed"
+    stream = compress_one(codec, b"data")
+    monkeypatch.setattr(target, name, fake)
+    with pytest.raises(CodecFailure, match=message) as caught:
+        decompress_one(codec, stream) if decode else compress_one(codec, b"data")
+    assert caught.value.__cause__ is None
+
+
 def test_load_takes_the_first_soname_that_loads():
     assert _native._load("libzstd.so.999", "libzstd.so.1").ZSTD_versionNumber() > 0
     # the message names every soname tried, then the first one's error
