@@ -11,7 +11,7 @@ import enum
 import lzma
 import struct
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _native
 from .errors import CodecFailure, CorruptStream
@@ -38,8 +38,7 @@ _CANONICAL_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class CodecConfig:
+class CodecConfig(NamedTuple):
     """Fixed parameters for one codec; never user-tunable at runtime."""
 
     level: int | None = None

@@ -8,7 +8,7 @@ knowledge and silent corruption cannot pass unnoticed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._native import crc32
 from .codecs import CodecId, compress_one, decompress_one, stream_bound
@@ -31,19 +31,23 @@ _HEADER = struct.Struct("<4sBBBBQI")
 assert _HEADER.size == HEADER_LEN
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
-    """An ordered chain of one or two distinct codecs."""
-
+class _Chain(NamedTuple):
     first: CodecId
     second: CodecId | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "first", CodecId(self.first))
-        if self.second is not None:
-            object.__setattr__(self, "second", CodecId(self.second))
-            if self.second == self.first:
+
+class PipelineSpec(_Chain):
+    """An ordered chain of one or two distinct codecs."""
+
+    __slots__ = ()
+
+    def __new__(cls, first: CodecId, second: CodecId | None = None):
+        first = CodecId(first)
+        if second is not None:
+            second = CodecId(second)
+            if second == first:
                 raise ValueError("a hybrid must chain two distinct codecs")
+        return super().__new__(cls, first, second)
 
     @property
     def is_hybrid(self) -> bool:
@@ -88,8 +92,7 @@ def enumerate_pipelines() -> list[PipelineSpec]:
     return singles + pairs
 
 
-@dataclass(frozen=True)
-class ContainerHeader:
+class ContainerHeader(NamedTuple):
     first_codec: CodecId
     second_codec: CodecId | None
     original_len: int

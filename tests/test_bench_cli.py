@@ -6,6 +6,7 @@ import sys
 import zlib
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -252,8 +253,10 @@ importlib.import_module(sys.argv[1])
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
-# What only the bench and report commands run.
-_BENCH_STACK = ("hybc.bench", "hybc.report", "hybc.scoring", "hybc.corpus", "json", "csv")
+# What only the bench and report commands run: their own module, the timing
+# layer, and dataclasses, which the container path's record types do without.
+_BENCH_STACK = ("hybc.bench", "hybc.report", "hybc.scoring", "hybc.corpus", "hybc.metrics",
+                "hybc.cli_bench", "dataclasses", "json", "csv")
 
 
 @pytest.mark.parametrize(
@@ -262,7 +265,7 @@ _BENCH_STACK = ("hybc.bench", "hybc.report", "hybc.scoring", "hybc.corpus", "jso
         ("hybc.cli", ("xml", "urllib.request", "http.client", "ssl", "email", "subprocess",
                       "ctypes.util", "statistics", "fractions", "decimal", *_BENCH_STACK)),
         ("hybc", ("subprocess", "ctypes.util", "statistics", "fractions", "decimal",
-                  "hybc.codecs", "hybc.metrics", "hybc.pipeline", "hybc.cli", *_BENCH_STACK)),
+                  "hybc.codecs", "hybc.pipeline", "hybc.cli", *_BENCH_STACK)),
     ],
 )
 def test_import_loads_no_unused_stdlib(module, forbidden):
@@ -270,11 +273,18 @@ def test_import_loads_no_unused_stdlib(module, forbidden):
     urllib, http, ssl and email, no ctypes.util or subprocess for a library
     lookup, and no statistics module (with fractions and decimal) for a
     median. `import hybc` loads no submodule but errors and _native, and the
-    CLI leaves the benchmark and report stack to the commands that run it."""
+    CLI leaves the timing, benchmark and report stack, and the `bench` and
+    `report` commands themselves, to the commands that run them."""
     added = _child(_LIST_NEW_MODULES, module).split()
     assert module in added
     loaded = [m for m in added for f in forbidden if m == f or m.startswith(f + ".")]
     assert not loaded, loaded
+
+
+def test_cli_import_loads_the_container_path():
+    """What compress and decompress run loads with the CLI module itself."""
+    added = _child(_LIST_NEW_MODULES, "hybc.cli").split()
+    assert {"hybc.codecs", "hybc.pipeline"} <= set(added)
 
 
 _RUN_MAIN = """
@@ -540,6 +550,109 @@ def test_cli_bench_partial_failure_exits_nonzero(runner, tmp_path, tiny_text):
 def test_cli_bench_usage_errors(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
+
+
+def _option(command: str, name: str):
+    group = click.Context(main)
+    return next(p for p in main.get_command(group, command).params if p.name == name)
+
+
+@pytest.mark.parametrize("command", ["bench", "report"])
+def test_cli_ds_basis_choices_are_the_enum_values(command):
+    """--ds-basis spells its choices out, so that defining it needs no timing
+    layer; they are still DsBasis's values, with COMPRESSED as the default."""
+    option = _option(command, "ds_basis")
+    assert list(option.type.choices) == [b.value for b in DsBasis]
+    assert option.default == DsBasis.COMPRESSED.value
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], DsBasis.COMPRESSED),
+    (["--ds-basis", "original"], DsBasis.ORIGINAL),
+])
+def test_cli_report_ranks_with_a_ds_basis_member(runner, tmp_path, monkeypatch, argv, expected):
+    received = []
+    monkeypatch.setattr(bench_mod, "read_measurements", lambda doc: [])
+    monkeypatch.setattr(bench_mod, "rank_by_dataset",
+                        lambda measurements, weights, basis: received.append(basis) or {})
+    measurements = tmp_path / "measurements.json"
+    measurements.write_text("{}")
+    result = runner.invoke(main, ["report", str(measurements), *argv])
+    assert result.exit_code == 1, result.output
+    assert "holds no successful rows" in result.output
+    assert [type(b) for b in received] == [DsBasis]
+    assert received == [expected]
+
+
+_HELP = {
+    ("--help",): """\
+Usage: hybc [OPTIONS] COMMAND [ARGS]...
+
+  Chained lossless compression with a self-describing container, plus a
+  benchmark harness that ranks all 25 codec pipelines.
+
+Options:
+  --version   Show the version and exit.
+  -h, --help  Show this message and exit.
+
+Commands:
+  bench       Benchmark every input x pipeline cell and write ranked reports.
+  compress    Compress INPUT into a self-describing container at OUTPUT.
+  decompress  Restore the original bytes from a container; the header alone...
+  report      Re-rank saved measurements and re-emit analysis reports,...
+""",
+    ("bench", "-h"): """\
+Usage: hybc bench [OPTIONS] INPUTS...
+
+  Benchmark every input x pipeline cell and write ranked reports.
+
+Options:
+  --pipelines TEXT                Comma-separated chains to run, or "all" for
+                                  the full 25.  [default: all]
+  --reps INTEGER                  Timed repetitions per phase.  [default: 5]
+  --weights TEXT                  Efficiency weights as cr,cs,ds (must sum to
+                                  1).  [default: 0.4,0.3,0.3]
+  --ds-basis [compressed|original]
+                                  Size basis for decompression speed.  [default:
+                                  compressed]
+  --out TEXT                      Directory for report files.  [default: hybc-
+                                  reports]
+  --format TEXT                   Report formats to write.  [default:
+                                  csv,json,md,svg]
+  --head-to-head TEXT             Pipeline compared against the five standalone
+                                  codecs.  [default: Zstd+LZ4HC]
+  -h, --help                      Show this message and exit.
+""",
+    ("report", "-h"): """\
+Usage: hybc report [OPTIONS] MEASUREMENTS_JSON
+
+  Re-rank saved measurements and re-emit analysis reports, optionally with
+  different weights or speed basis, without re-benchmarking.
+
+Options:
+  --weights TEXT                  Efficiency weights as cr,cs,ds (must sum to
+                                  1).  [default: 0.4,0.3,0.3]
+  --ds-basis [compressed|original]
+                                  Size basis for decompression speed.  [default:
+                                  compressed]
+  --out TEXT                      Directory for report files.  [default: hybc-
+                                  reports]
+  --format TEXT                   Report formats to write.  [default:
+                                  csv,json,md,svg]
+  --head-to-head TEXT             Pipeline compared against the five standalone
+                                  codecs.  [default: Zstd+LZ4HC]
+  -h, --help                      Show this message and exit.
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(_HELP), ids=" ".join)
+def test_cli_help_text_is_pinned(runner, argv):
+    """Listing `bench` and `report` from their own module leaves every help
+    text as it was, down to the short help in the command list."""
+    result = runner.invoke(main, list(argv), prog_name="hybc", terminal_width=80)
+    assert result.exit_code == 0, result.output
+    assert result.output == _HELP[argv]
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybc.codecs import CodecId, compress_one, library_versions, stream_bound
+from hybc.codecs import CodecId, codec_params, compress_one, library_versions, stream_bound
 from hybc.errors import (
     BadMagic,
     CorruptStream,
@@ -63,6 +63,59 @@ def test_display_names():
     assert PipelineSpec(CodecId.ZSTD).display_name == "Zstd"
     assert PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC).display_name == "Zstd + LZ4HC"
     assert PipelineSpec(CodecId.BZIP2, CodecId.BROTLI).display_name == "Bzip2 + Brotli"
+
+
+_ZSTD_LZ4HC = PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC)
+
+
+@pytest.mark.parametrize(
+    "actual, expected",
+    [
+        pytest.param(PipelineSpec(2, 5), _ZSTD_LZ4HC, id="int-codes-equal-members"),
+        pytest.param(hash(PipelineSpec(2, 5)), hash(_ZSTD_LZ4HC), id="int-codes-hash-alike"),
+        # A frozen dataclass hashes the tuple of its fields; set and dict order
+        # (and with them the golden report digests) rest on that value.
+        pytest.param(hash(_ZSTD_LZ4HC), hash((CodecId.ZSTD, CodecId.LZ4HC)), id="field-tuple-hash"),
+        pytest.param(
+            (type(PipelineSpec(2, 5).first), type(PipelineSpec(2, 5).second)), (CodecId, CodecId),
+            id="fields-are-codec-ids",
+        ),
+        pytest.param(
+            repr(PipelineSpec(2, 5)),
+            "PipelineSpec(first=<CodecId.ZSTD: 2>, second=<CodecId.LZ4HC: 5>)",
+            id="spec-repr",
+        ),
+        pytest.param(
+            repr(ContainerHeader(CodecId.ZSTD, None, 10, 7)),
+            "ContainerHeader(first_codec=<CodecId.ZSTD: 2>, second_codec=None, original_len=10, "
+            "original_crc32=7)",
+            id="header-repr",
+        ),
+        pytest.param(
+            repr(codec_params(CodecId.BROTLI)),
+            "CodecConfig(level=6, window_log=22, block_size_kb=None)",
+            id="brotli-params",
+        ),
+    ],
+)
+def test_record_contract(actual, expected):
+    assert actual == expected
+
+
+@pytest.mark.parametrize(
+    "record, name",
+    [
+        (_ZSTD_LZ4HC, "first"),
+        (_ZSTD_LZ4HC, "second"),
+        (_ZSTD_LZ4HC, "label"),
+        (ContainerHeader(CodecId.ZSTD, None, 10, 7), "original_len"),
+        (codec_params(CodecId.BROTLI), "level"),
+    ],
+    ids=["spec-first", "spec-second", "spec-new-name", "header-field", "config-field"],
+)
+def test_records_are_immutable(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, CodecId.LZMA)
 
 
 @pytest.mark.parametrize(
