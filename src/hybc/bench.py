@@ -12,13 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .codecs import CodecId
 from .corpus import SizeClass, classify_size, load_dataset
 from .errors import HybcError
 from .metrics import (
     DsBasis,
     Measurement,
-    Stage,
     compression_ratio,
     compression_speed,
     decompression_speed,
@@ -94,7 +92,7 @@ def run_bench(
                 add(BenchRow(dataset=name, pipeline=spec, error=str(exc)))
             continue
         size_class = classify_size(len(data))
-        stages: dict[CodecId, Stage] = {}
+        stages: dict = {}
         for spec in specs:
             row = BenchRow(dataset=name, pipeline=spec, size_class=size_class)
             try:
@@ -223,5 +221,8 @@ def _write(outdir: Path, stem: str, table: Table, formats: Sequence[str],
 def _head_to_head_rows(
     rows: Sequence[EfficiencyRow], challenger: PipelineSpec
 ) -> list[EfficiencyRow]:
-    """The challenger plus every standalone codec, in ranking order."""
+    """The challenger plus every standalone codec, in ranking order; none when
+    the challenger was not ranked."""
+    if not any(r.pipeline == challenger for r in rows):
+        return []
     return [r for r in rows if r.pipeline == challenger or not r.pipeline.is_hybrid]

@@ -6,13 +6,12 @@ errors (click's convention, kept deliberately).
 `compress`, `decompress` and `--version` load only click, the codec and
 container modules (`codecs`, `pipeline`) and this one. The `bench` and
 `report` commands live in `hybc.cli_bench`, which the group imports when one
-of them is looked up; the timing, bench, report and scoring modules (and
-json) load inside the functions those commands call.
+of them is looked up, and which loads the timing, bench, report and scoring
+modules (and json and csv) with it.
 """
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import click
 
@@ -26,11 +25,8 @@ from .pipeline import (
     pipeline_from_name,
 )
 
-if TYPE_CHECKING:
-    from .bench import BenchRow
 
-
-def run_bench(*args, **kwargs) -> list[BenchRow]:
+def run_bench(*args, **kwargs) -> list:
     from .bench import run_bench
 
     return run_bench(*args, **kwargs)

@@ -1,28 +1,26 @@
-"""The `bench` and `report` commands, which hybc.cli's group imports only when
-one of them is looked up. They call run_bench, write_reports and
-environment_metadata as attributes of hybc.cli, so that a name replaced there
-is the one they run.
+"""The `bench` and `report` commands. hybc.cli's group imports this module
+only when one of them is looked up, and this module imports the bench stack
+at the top, so that lookup is where the stack loads. The commands call
+run_bench, write_reports and environment_metadata as attributes of hybc.cli,
+so that a name replaced there is the one they run.
 """
 from __future__ import annotations
 
+import json
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import click
 
+from . import bench as bench_module
 from . import cli
 from .cli import _parse_pipeline, _read_bytes
+from .metrics import DsBasis, compression_ratio
 from .pipeline import enumerate_pipelines
-
-if TYPE_CHECKING:
-    from .bench import BenchRow
-    from .metrics import DsBasis
-    from .scoring import Weights
+from .report import FORMATS
+from .scoring import Weights
 
 
 def _parse_weights(text: str) -> Weights:
-    from .scoring import Weights
-
     parts = text.split(",")
     if len(parts) != 3:
         raise click.UsageError('weights must be three comma-separated numbers, e.g. "0.4,0.3,0.3"')
@@ -33,8 +31,6 @@ def _parse_weights(text: str) -> Weights:
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
-    from .report import FORMATS
-
     formats = tuple(dict.fromkeys(p.strip().lower() for p in text.split(",") if p.strip()))
     unknown = set(formats) - set(FORMATS)
     if not formats or unknown:
@@ -44,15 +40,7 @@ def _parse_formats(text: str) -> tuple[str, ...]:
     return formats
 
 
-def _parse_ds_basis(text: str) -> DsBasis:
-    from .metrics import DsBasis
-
-    return DsBasis(text)
-
-
-def _echo_row(row: BenchRow) -> None:
-    from .metrics import compression_ratio
-
+def _echo_row(row: bench_module.BenchRow) -> None:
     if row.error is not None:
         click.echo(f"  {row.dataset} | {row.pipeline.display_name}: ERROR {row.error}")
     else:
@@ -73,8 +61,8 @@ def _report_options(command):
     options = [
         click.option("--weights", callback=_parsed(_parse_weights), default="0.4,0.3,0.3",
                      show_default=True, help="Efficiency weights as cr,cs,ds (must sum to 1)."),
-        click.option("--ds-basis", type=click.Choice(["compressed", "original"]),
-                     callback=_parsed(_parse_ds_basis), default="compressed",
+        click.option("--ds-basis", type=click.Choice([b.value for b in DsBasis]),
+                     callback=_parsed(DsBasis), default=DsBasis.COMPRESSED.value,
                      show_default=True, help="Size basis for decompression speed."),
         click.option("--out", "out_dir", default="hybc-reports", show_default=True,
                      help="Directory for report files."),
@@ -131,19 +119,15 @@ def bench(inputs, pipelines, reps, weights, ds_basis, out_dir, formats, head_to_
 def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head) -> None:
     """Re-rank saved measurements and re-emit analysis reports, optionally
     with different weights or speed basis, without re-benchmarking."""
-    import json
-
-    from .bench import rank_by_dataset, read_measurements, write_analysis_reports
-
     raw = _read_bytes(measurements_file)
     try:
         doc = json.loads(raw)
-        measurements = read_measurements(doc)
-        rankings = rank_by_dataset(measurements, weights, ds_basis)
+        measurements = bench_module.read_measurements(doc)
+        rankings = bench_module.rank_by_dataset(measurements, weights, ds_basis)
         environment = doc.get("environment", {})
         if not isinstance(environment, dict):
             raise TypeError(f"environment {environment!r} is not an object")
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise click.ClickException(f"bad measurements file: {exc}") from exc
     if not measurements:
         raise click.ClickException("measurements file holds no successful rows")
@@ -152,7 +136,7 @@ def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head)
     own = cli.environment_metadata(ds_basis=ds_basis, weights=weights)
     metadata = {**environment, "ds_basis": own["ds_basis"], "weights": own["weights"]}
     try:
-        written = write_analysis_reports(
+        written = bench_module.write_analysis_reports(
             rankings, Path(out_dir), formats, weights, head_to_head, metadata
         )
     except OSError as exc:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -287,6 +288,26 @@ def test_cli_import_loads_the_container_path():
     assert {"hybc.codecs", "hybc.pipeline"} <= set(added)
 
 
+# The only imports made inside a function: hybc.cli's forwarders to the bench
+# stack and its group's lookup of hybc.cli_bench.
+_DEFERRED_IMPORTS = {("cli.py", "run_bench"), ("cli.py", "write_reports"),
+                     ("cli.py", "environment_metadata"), ("cli.py", "get_command")}
+
+
+def test_imports_stay_at_module_top():
+    """No module imports under TYPE_CHECKING, and none defers an import to a
+    function call except at hybc.cli's boundary to the bench stack."""
+    found = set()
+    for path in sorted(Path(cli_mod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+                found.add((path.name, "if TYPE_CHECKING"))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.name, node.name) for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    assert found <= _DEFERRED_IMPORTS, sorted(found - _DEFERRED_IMPORTS)
+
+
 _RUN_MAIN = """
 import sys
 from hybc.cli import main
@@ -559,8 +580,7 @@ def _option(command: str, name: str):
 
 @pytest.mark.parametrize("command", ["bench", "report"])
 def test_cli_ds_basis_choices_are_the_enum_values(command):
-    """--ds-basis spells its choices out, so that defining it needs no timing
-    layer; they are still DsBasis's values, with COMPRESSED as the default."""
+    """--ds-basis offers DsBasis's values, with COMPRESSED as the default."""
     option = _option(command, "ds_basis")
     assert list(option.type.choices) == [b.value for b in DsBasis]
     assert option.default == DsBasis.COMPRESSED.value
@@ -711,6 +731,30 @@ def _measurements_doc(*changes: dict) -> bytes:
     return json.dumps({"rows": [_OK_ROW | change for change in changes]}).encode()
 
 
+def test_cli_head_to_head_needs_its_challenger_ranked(runner, tiny_text, tmp_path):
+    """Neither command writes a head-to-head file for a dataset on which the
+    challenger was not ranked; the standalone codecs alone are no duel."""
+    corpus = tmp_path / "small.txt"
+    corpus.write_bytes(tiny_text)
+    out = tmp_path / "bench"
+    result = runner.invoke(main, ["bench", str(corpus), "--pipelines", "Zstd,LZ4HC",
+                                  "--reps", "1", "--format", "csv,json", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert (out / "ranking_small.csv").exists()
+    assert not list(out.glob("head_to_head_*"))
+
+    def report(head_to_head: str) -> Path:
+        out2 = tmp_path / head_to_head
+        result = runner.invoke(main, ["report", str(out / "measurements.json"), "--format",
+                                      "csv", "--head-to-head", head_to_head, "--out", str(out2)])
+        assert result.exit_code == 0, result.output
+        return out2
+
+    assert not list(report("Brotli+LZ4HC").glob("head_to_head_*"))
+    duel = (report("LZ4HC") / "head_to_head_small.csv").read_text().splitlines()
+    assert len(duel) == 3  # header, LZ4HC, Zstd
+
+
 def test_cli_report_rejects_bad_file(runner, tmp_path):
     hostile = [
         b"{this is not json",
@@ -722,6 +766,7 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         _measurements_doc({}, {"pipeline": "zstd", "compress_seconds": 0.02}),
         json.dumps({"rows": [_OK_ROW, _OK_ROW | {"pipeline": "LZMA"}],
                     "environment": ["not", "an", "object"]}).encode(),
+        b"[" * 200_000,
     ]
     # numbers of the wrong JSON type are rejected, not cast: counts must be
     # integers and timings numbers, and a boolean is neither
