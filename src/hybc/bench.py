@@ -30,6 +30,7 @@ from .report import (
     frequency_report,
     ranking_report,
     render,
+    run_settings,
 )
 from .scoring import (
     EfficiencyRow,
@@ -149,8 +150,10 @@ def read_measurements(doc: dict) -> list[Measurement]:
     for row in doc["rows"]:
         if not isinstance(row, dict):
             raise TypeError(f"row {row!r} is not an object")
-        if row.get("status") != "ok":
+        if row.get("status") == "error":
             continue
+        if row.get("status") != "ok":
+            raise ValueError(f"status {row.get('status')!r} is neither 'ok' nor 'error'")
         if not isinstance(row["pipeline"], str):
             raise TypeError(f"pipeline {row['pipeline']!r} is not a string")
         if not re.fullmatch(f"[{_DATASET_CHARS}]+", row["dataset"]):
@@ -179,7 +182,7 @@ def write_reports(
     ds_basis: DsBasis, head_to_head: PipelineSpec, repetitions: int,
 ) -> list[Path]:
     """Write the measurements plus every analysis report; returns the paths."""
-    metadata = environment_metadata(repetitions=repetitions, ds_basis=ds_basis, weights=weights)
+    metadata = {**environment_metadata(repetitions=repetitions), **run_settings(ds_basis, weights)}
     written = _write(outdir, "measurements", measurements_report(rows, ds_basis),
                      [fmt for fmt in ("csv", "json") if fmt in formats], metadata)
     ok = [row.measurement for row in rows if row.measurement is not None]

@@ -38,12 +38,6 @@ def write_reports(*args, **kwargs) -> list[Path]:
     return write_reports(*args, **kwargs)
 
 
-def environment_metadata(**kwargs) -> dict:
-    from .report import environment_metadata
-
-    return environment_metadata(**kwargs)
-
-
 def _parse_pipeline(name: str) -> PipelineSpec:
     try:
         return pipeline_from_name(name)

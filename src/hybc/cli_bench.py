@@ -1,8 +1,8 @@
 """The `bench` and `report` commands. hybc.cli's group imports this module
 only when one of them is looked up, and this module imports the bench stack
-at the top, so that lookup is where the stack loads. The commands call
-run_bench, write_reports and environment_metadata as attributes of hybc.cli,
-so that a name replaced there is the one they run.
+at the top, so that lookup is where the stack loads. `bench` calls run_bench
+and write_reports as attributes of hybc.cli, so that a name replaced there is
+the one it runs.
 """
 from __future__ import annotations
 
@@ -133,8 +133,7 @@ def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head)
         raise click.ClickException("measurements file holds no successful rows")
     if not rankings:
         raise click.ClickException("no dataset has the 2+ rows needed for ranking")
-    own = cli.environment_metadata(ds_basis=ds_basis, weights=weights)
-    metadata = {**environment, "ds_basis": own["ds_basis"], "weights": own["weights"]}
+    metadata = {**environment, **bench_module.run_settings(ds_basis, weights)}
     try:
         written = bench_module.write_analysis_reports(
             rankings, Path(out_dir), formats, weights, head_to_head, metadata

@@ -36,19 +36,14 @@ _SEGMENT_COLORS = (
 )
 
 
-def environment_metadata(
-    *,
-    repetitions: int | None = None,
-    ds_basis: DsBasis = DsBasis.COMPRESSED,
-    weights: Weights = DEFAULT_WEIGHTS,
-) -> dict:
+def environment_metadata(*, repetitions: int) -> dict:
     """Provenance block for machine-readable reports.
 
     Speed numbers are hardware-bound, so reports record the codec library
     versions, clock characteristics, and configuration they came from.
     """
     clock = time.get_clock_info("perf_counter")
-    meta = {
+    return {
         "codec_library_versions": library_versions(),
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -59,14 +54,18 @@ def environment_metadata(
             "resolution_seconds": clock.resolution,
         },
         "mb_bytes": MB,
-        "ds_basis": ds_basis.value,
-        "weights": {"cr": weights.w_cr, "cs": weights.w_cs, "ds": weights.w_ds},
         "compressed_size_includes_container_header": True,
         "container_header_bytes": HEADER_LEN,
+        "repetitions": repetitions,
     }
-    if repetitions is not None:
-        meta["repetitions"] = repetitions
-    return meta
+
+
+def run_settings(ds_basis: DsBasis, weights: Weights) -> dict:
+    """The ranking settings a report records; a re-rank replaces only these."""
+    return {
+        "ds_basis": ds_basis.value,
+        "weights": {"cr": weights.w_cr, "cs": weights.w_cs, "ds": weights.w_ds},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import hybc.bench as bench_mod
 import hybc.cli as cli_mod
+import hybc.report as report_mod
 from hybc.bench import rank_by_dataset, run_bench, write_reports
 from hybc.cli import main
 from hybc.codecs import CodecId, compress_one
@@ -291,7 +292,7 @@ def test_cli_import_loads_the_container_path():
 # The only imports made inside a function: hybc.cli's forwarders to the bench
 # stack and its group's lookup of hybc.cli_bench.
 _DEFERRED_IMPORTS = {("cli.py", "run_bench"), ("cli.py", "write_reports"),
-                     ("cli.py", "environment_metadata"), ("cli.py", "get_command")}
+                     ("cli.py", "get_command")}
 
 
 def test_imports_stay_at_module_top():
@@ -347,8 +348,7 @@ def recorder(name, result):
     return record
 
 for name in sys.argv[1].split(","):
-    setattr(cli, name, recorder(name, {"run_bench": [], "write_reports": [],
-        "environment_metadata": {"ds_basis": "compressed", "weights": [0.4, 0.3, 0.3]}}[name]))
+    setattr(cli, name, recorder(name, {"run_bench": [], "write_reports": []}[name]))
 cli.main(sys.argv[2:], standalone_mode=False)
 print(*calls)
 """
@@ -356,19 +356,12 @@ print(*calls)
 
 @pytest.mark.parametrize("command, patched", [
     ("bench", "run_bench,write_reports"),
-    ("report", "environment_metadata"),
 ])
 def test_cli_runs_the_names_patched_on_it(command, patched, tmp_path):
     """A name set on hybc.cli before hybc.bench and hybc.report are first
     imported is the one the command calls, as the traced benchmark run
     relies on."""
-    measurements = tmp_path / "measurements.json"
-    measurements.write_bytes(_measurements_doc({}, {"pipeline": "LZ4HC"}))
-    argv = {
-        "bench": ["bench", "x.txt", "--out", tmp_path / "r"],
-        "report": ["report", measurements, "--format", "csv", "--out", tmp_path / "r"],
-    }[command]
-    out = _child(_PATCH_THROUGH, patched, *argv)
+    out = _child(_PATCH_THROUGH, patched, command, "x.txt", "--out", tmp_path / "r")
     assert out.splitlines()[-1].split() == patched.split(",")
 
 
@@ -376,7 +369,7 @@ _PLAIN_GLOBALS = """
 import sys
 import hybc.cli as cli
 
-assert {"run_bench", "write_reports", "environment_metadata"} <= set(vars(cli)), sorted(vars(cli))
+assert {"run_bench", "write_reports"} <= set(vars(cli)), sorted(vars(cli))
 assert "__getattr__" not in vars(cli)
 assert "hybc.bench" not in sys.modules and "hybc.report" not in sys.modules
 print("ok")
@@ -767,6 +760,8 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         json.dumps({"rows": [_OK_ROW, _OK_ROW | {"pipeline": "LZMA"}],
                     "environment": ["not", "an", "object"]}).encode(),
         b"[" * 200_000,
+        _measurements_doc({}, {"pipeline": "LZMA"}, {"pipeline": "Brotli", "status": "OK"}),
+        _measurements_doc({}, {"pipeline": "LZMA"}, {"pipeline": "Brotli", "status": None}),
     ]
     # numbers of the wrong JSON type are rejected, not cast: counts must be
     # integers and timings numbers, and a boolean is neither
@@ -784,7 +779,7 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         assert "bad measurements file: " in result.output, payload
 
 
-def test_cli_report_keeps_the_measuring_environment(runner, three_corpora, tmp_path):
+def test_cli_report_keeps_the_measuring_environment(runner, three_corpora, tmp_path, monkeypatch):
     out = tmp_path / "bench"
     assert runner.invoke(
         main,
@@ -796,6 +791,11 @@ def test_cli_report_keeps_the_measuring_environment(runner, three_corpora, tmp_p
     doc["environment"]["codec_library_versions"] = {"zstd": "0.0.1-measuring-host"}
     doc["environment"]["repetitions"] = 7
     measurements.write_text(json.dumps(doc))
+
+    def no_environment_here(**kwargs):
+        raise RuntimeError("report read the machine it runs on")
+
+    monkeypatch.setattr(report_mod, "environment_metadata", no_environment_here)
 
     def reranked_environment(name: str) -> dict:
         result = runner.invoke(

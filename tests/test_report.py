@@ -20,6 +20,7 @@ from hybc.report import (
     frequency_report,
     ranking_report,
     render,
+    run_settings,
 )
 from hybc.scoring import DEFAULT_WEIGHTS, EfficiencyRow, component_frequency
 
@@ -104,7 +105,7 @@ def test_svg_well_formed_one_group_per_row(make_rows):
 
 
 def test_json_full_precision_and_metadata():
-    meta = environment_metadata()
+    meta = {**environment_metadata(repetitions=1), **run_settings(DsBasis.COMPRESSED, DEFAULT_WEIGHTS)}
     doc = json.loads(render(ranking_report(_rows()), "json", metadata=meta))
     assert doc["rows"][0]["cr_norm"] == 0.6590645815233129
     assert doc["rows"][0]["rank"] == 1
@@ -323,19 +324,16 @@ def golden_bench(monkeypatch):
         compressed, cs, ds = cell
         return Measurement(spec, dataset, len(data), compressed, cs, ds, repetitions)
 
-    def environment(*, repetitions=None, ds_basis=DsBasis.COMPRESSED,
-                    weights=DEFAULT_WEIGHTS):
-        return {
-            "fixture": "golden",
-            "repetitions": repetitions,
-            "ds_basis": ds_basis.value,
-            "weights": [weights.w_cr, weights.w_cs, weights.w_ds],
-        }
+    def environment(*, repetitions):
+        return {"fixture": "golden", "repetitions": repetitions}
+
+    def settings(ds_basis, weights):
+        return {"ds_basis": ds_basis.value, "weights": [weights.w_cr, weights.w_cs, weights.w_ds]}
 
     monkeypatch.setattr(bench_mod, "load_dataset", load_dataset)
     monkeypatch.setattr(bench_mod, "measure", measure)
     monkeypatch.setattr(bench_mod, "environment_metadata", environment)
-    monkeypatch.setattr(cli_mod, "environment_metadata", environment)
+    monkeypatch.setattr(bench_mod, "run_settings", settings)
 
 
 def _digests(outdir: Path) -> dict[str, str]:
