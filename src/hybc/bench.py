@@ -143,23 +143,24 @@ def measurements_report(rows: Sequence[BenchRow], ds_basis: DsBasis) -> Table:
 
 
 def read_measurements(doc: dict) -> list[Measurement]:
-    """The successful rows of a measurements JSON document. The document comes
-    from outside, so a malformed row raises ValueError, KeyError or TypeError."""
+    """The successful rows of a measurements JSON document. It comes from
+    outside, so a malformed row, ok or error, raises ValueError, KeyError or TypeError."""
     measurements: list[Measurement] = []
     cells: set[tuple[str, PipelineSpec]] = set()
     for row in doc["rows"]:
         if not isinstance(row, dict):
             raise TypeError(f"row {row!r} is not an object")
+        if not isinstance(row["pipeline"], str):
+            raise TypeError(f"pipeline {row['pipeline']!r} is not a string")
+        pipeline = pipeline_from_name(row["pipeline"])
+        if not re.fullmatch(f"[{_DATASET_CHARS}]+", row["dataset"]):
+            raise ValueError(f"dataset name {row['dataset']!r} is not made of {_DATASET_CHARS}")
         if row.get("status") == "error":
             continue
         if row.get("status") != "ok":
             raise ValueError(f"status {row.get('status')!r} is neither 'ok' nor 'error'")
-        if not isinstance(row["pipeline"], str):
-            raise TypeError(f"pipeline {row['pipeline']!r} is not a string")
-        if not re.fullmatch(f"[{_DATASET_CHARS}]+", row["dataset"]):
-            raise ValueError(f"dataset name {row['dataset']!r} is not made of {_DATASET_CHARS}")
         m = Measurement(
-            pipeline=pipeline_from_name(row["pipeline"]),
+            pipeline=pipeline,
             dataset=row["dataset"],
             original_bytes=row["original_bytes"],
             compressed_bytes=row["compressed_bytes"],
@@ -204,10 +205,9 @@ def write_analysis_reports(
             tables.append((f"head_to_head_{dataset}", ranking_report(duel, weights)))
         tables.append((f"balance_{dataset}", balance_report(balance_table(rows))))
     if rankings:
-        all_rows = [row for rows in rankings.values() for row in rows]
-        counts = component_frequency(all_rows, k=FREQUENCY_TOP_K)
-        total = sum(min(FREQUENCY_TOP_K, len(rows)) for rows in rankings.values())
-        tables.append(("frequency", frequency_report(counts, total)))
+        top = [row for rows in rankings.values() for row in rows[:FREQUENCY_TOP_K]]
+        counts = component_frequency(top, k=len(top))
+        tables.append(("frequency", frequency_report(counts, len(top))))
     return [path for stem, table in tables
             for path in _write(outdir, stem, table, formats, metadata)]
 

@@ -10,6 +10,7 @@ import enum
 import gc
 import math
 import mmap
+import statistics
 import threading
 import time
 from dataclasses import dataclass
@@ -74,7 +75,7 @@ def measure(
     *,
     dataset: str = "data",
     clock: Callable[[], float] = time.perf_counter,
-    stages: dict[CodecId, Stage] | None = None,
+    stages: dict[tuple[CodecId, int], Stage] | None = None,
 ) -> Measurement:
     """Time compress/decompress over in-memory buffers.
 
@@ -87,9 +88,9 @@ def measure(
     the stage's input. Chain sample i is the sum of its stages' samples i; the
     median of those sums per phase must be > 0, so a stalled clock fails.
 
-    `stages` holds the first stages already timed on `data` with
-    `repetitions` (another count is a ValueError); a missing one is timed
-    with `clock` and added, so chains that share a first stage time it once.
+    `stages` holds the first stages already timed on `data`, keyed by codec
+    and repetition count; a missing one is timed with `clock` and added, so
+    chains that share a first stage and a count time it once.
     A one-codec chain's container is its first stage's output, a hybrid's is
     framed from the second's; either must decode back to `data`. Serialized
     process-wide so concurrent callers cannot pollute each other's timings.
@@ -102,15 +103,13 @@ def measure(
         stages = {}
     name = spec.display_name
     with _MEASUREMENT_LOCK:
-        first = stages.get(spec.first)
+        first = stages.get((spec.first, repetitions))
         if first is None:
             alone = PipelineSpec(spec.first)
-            first = stages[spec.first] = _time_stage(
+            first = stages[spec.first, repetitions] = _time_stage(
                 lambda: compress_pipeline(alone, data),
                 decompress_pipeline, data, repetitions, clock, name,
             )
-        elif len(first.compress) != repetitions:
-            raise ValueError(f"cached first stage has {len(first.compress)} reps, not {repetitions}")
         timed = [first]
         container = first.output
         if spec.second is not None:
@@ -130,8 +129,8 @@ def measure(
         dataset=dataset,
         original_bytes=len(data),
         compressed_bytes=len(container),
-        compress_seconds=_median([sum(s) for s in zip(*(t.compress for t in timed))]),
-        decompress_seconds=_median([sum(s) for s in zip(*(t.decompress for t in timed))]),
+        compress_seconds=statistics.median([sum(s) for s in zip(*(t.compress for t in timed))]),
+        decompress_seconds=statistics.median([sum(s) for s in zip(*(t.decompress for t in timed))]),
         repetitions=repetitions,
     )
 
@@ -167,16 +166,6 @@ def _time_stage(encode: Callable[[], bytes], decode: Callable[[bytes], bytearray
     kept = mmap.mmap(-1, len(output))
     kept.write(output)
     return Stage(kept, compress_times, decompress_times)
-
-
-def _median(samples: list[float]) -> float:
-    """The middle sample, or the mean of the middle two: statistics.median's
-    float, without importing statistics."""
-    ordered = sorted(samples)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def compression_ratio(m: Measurement) -> float:

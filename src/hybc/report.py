@@ -93,8 +93,7 @@ def render(table: Table, fmt: str, *, metadata: Mapping | None = None) -> bytes:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(table.rows)
         return out.getvalue().encode("utf-8")
     if fmt == "json":
         doc = dict(table.json or {"rows": [dict(zip(table.columns, r)) for r in table.rows]})

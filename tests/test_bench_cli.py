@@ -256,9 +256,10 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 # What only the bench and report commands run: their own module, the timing
-# layer, and dataclasses, which the container path's record types do without.
+# layer with the statistics module for its medians, and dataclasses, which the
+# container path's record types do without.
 _BENCH_STACK = ("hybc.bench", "hybc.report", "hybc.scoring", "hybc.corpus", "hybc.metrics",
-                "hybc.cli_bench", "dataclasses", "json", "csv")
+                "hybc.cli_bench", "dataclasses", "json", "csv", "statistics")
 
 
 @pytest.mark.parametrize(
@@ -541,13 +542,19 @@ def test_cli_bench_partial_failure_exits_nonzero(runner, tmp_path, tiny_text):
     result = runner.invoke(
         main,
         ["bench", str(good), str(bad), "--pipelines", "Zstd,LZ4HC",
-         "--reps", "1", "--format", "csv", "--out", str(out)],
+         "--reps", "1", "--format", "csv,json", "--out", str(out)],
     )
     assert result.exit_code == 1
     assert "2 of 4 runs failed" in result.output
     # reports still written for the rows that succeeded
     lines = (out / "measurements.csv").read_text().splitlines()
     assert len(lines) == 5
+    # and the file with its error rows re-ranks
+    reranked = tmp_path / "reranked"
+    result = runner.invoke(main, ["report", str(out / "measurements.json"), "--format", "csv",
+                                  "--out", str(reranked)])
+    assert result.exit_code == 0, result.output
+    assert (reranked / "ranking_good.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -762,6 +769,10 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         b"[" * 200_000,
         _measurements_doc({}, {"pipeline": "LZMA"}, {"pipeline": "Brotli", "status": "OK"}),
         _measurements_doc({}, {"pipeline": "LZMA"}, {"pipeline": "Brotli", "status": None}),
+        # an error row is skipped only once its pipeline and dataset check out
+        *(json.dumps({"rows": [_OK_ROW, _OK_ROW | {"pipeline": "LZMA"}, row]}).encode()
+          for row in ({"status": "error", "pipeline": 5}, {"status": "error"},
+                      _OK_ROW | {"status": "error", "dataset": "x/y"})),
     ]
     # numbers of the wrong JSON type are rejected, not cast: counts must be
     # integers and timings numbers, and a boolean is neither
