@@ -118,12 +118,12 @@ def rank_by_dataset(
 # ---------------------------------------------------------------------------
 # The measurements file: one record per input x pipeline cell, errors kept
 
-MEASUREMENT_COLUMNS = [
-    "dataset", "size_class", "pipeline", "status",
-    "original_bytes", "compressed_bytes",
-    "compress_seconds", "decompress_seconds", "repetitions",
-    "cr", "cs_mb_s", "ds_mb_s", "error",
-]
+# The Measurement fields a row records, in column order; the three derived
+# figures follow them.
+_MEASURED_FIELDS = ("original_bytes", "compressed_bytes", "compress_seconds",
+                    "decompress_seconds", "repetitions")
+MEASUREMENT_COLUMNS = ["dataset", "size_class", "pipeline", "status", *_MEASURED_FIELDS,
+                       "cr", "cs_mb_s", "ds_mb_s", "error"]
 
 
 def measurements_report(rows: Sequence[BenchRow], ds_basis: DsBasis) -> Table:
@@ -131,10 +131,9 @@ def measurements_report(rows: Sequence[BenchRow], ds_basis: DsBasis) -> Table:
     records = []
     for row in rows:
         m = row.measurement
-        measured = [""] * 8 if m is None else [
-            m.original_bytes, m.compressed_bytes, m.compress_seconds, m.decompress_seconds,
-            m.repetitions, compression_ratio(m), compression_speed(m),
-            decompression_speed(m, ds_basis),
+        measured = [""] * (len(_MEASURED_FIELDS) + 3) if m is None else [
+            *(getattr(m, field) for field in _MEASURED_FIELDS),
+            compression_ratio(m), compression_speed(m), decompression_speed(m, ds_basis),
         ]
         records.append([row.dataset, row.size_class.label if row.size_class else "",
                         row.pipeline.display_name, "ok" if row.error is None else "error",
@@ -159,15 +158,8 @@ def read_measurements(doc: dict) -> list[Measurement]:
             continue
         if row.get("status") != "ok":
             raise ValueError(f"status {row.get('status')!r} is neither 'ok' nor 'error'")
-        m = Measurement(
-            pipeline=pipeline,
-            dataset=row["dataset"],
-            original_bytes=row["original_bytes"],
-            compressed_bytes=row["compressed_bytes"],
-            compress_seconds=row["compress_seconds"],
-            decompress_seconds=row["decompress_seconds"],
-            repetitions=row["repetitions"],
-        )
+        m = Measurement(pipeline=pipeline, dataset=row["dataset"],
+                        **{field: row[field] for field in _MEASURED_FIELDS})
         if (m.dataset, m.pipeline) in cells:
             raise ValueError(f"dataset {m.dataset!r} has two ok rows for {m.pipeline.display_name}")
         cells.add((m.dataset, m.pipeline))
@@ -196,7 +188,9 @@ def write_analysis_reports(
     rankings: dict[str, list[EfficiencyRow]], outdir: Path, formats: Sequence[str],
     weights: Weights, head_to_head: PipelineSpec, metadata: dict,
 ) -> list[Path]:
-    """Ranking, head-to-head, balance, and frequency files per requested format."""
+    """Ranking, head-to-head, balance, and frequency files per requested format.
+    The frequency file counts the codecs of each dataset's first
+    FREQUENCY_TOP_K ranked rows; this is the only place that cut is made."""
     tables: list[tuple[str, Table]] = []
     for dataset, rows in rankings.items():
         tables.append((f"ranking_{dataset}", ranking_report(rows, weights)))
@@ -206,8 +200,7 @@ def write_analysis_reports(
         tables.append((f"balance_{dataset}", balance_report(balance_table(rows))))
     if rankings:
         top = [row for rows in rankings.values() for row in rows[:FREQUENCY_TOP_K]]
-        counts = component_frequency(top, k=len(top))
-        tables.append(("frequency", frequency_report(counts, len(top))))
+        tables.append(("frequency", frequency_report(component_frequency(top), len(top))))
     return [path for stem, table in tables
             for path in _write(outdir, stem, table, formats, metadata)]
 

@@ -7,6 +7,7 @@ the one it runs.
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import click
@@ -17,7 +18,7 @@ from .cli import _parse_pipeline, _read_bytes
 from .metrics import DsBasis, compression_ratio
 from .pipeline import enumerate_pipelines
 from .report import FORMATS
-from .scoring import Weights
+from .scoring import DEFAULT_WEIGHTS, Weights
 
 
 def _parse_weights(text: str) -> Weights:
@@ -59,15 +60,16 @@ def _parsed(parse):
 def _report_options(command):
     """The options shared by `bench` and `report`, passed in parsed form."""
     options = [
-        click.option("--weights", callback=_parsed(_parse_weights), default="0.4,0.3,0.3",
-                     show_default=True, help="Efficiency weights as cr,cs,ds (must sum to 1)."),
+        click.option("--weights", callback=_parsed(_parse_weights),
+                     default=",".join(map(str, astuple(DEFAULT_WEIGHTS))), show_default=True,
+                     help="Efficiency weights as cr,cs,ds (must sum to 1)."),
         click.option("--ds-basis", type=click.Choice([b.value for b in DsBasis]),
                      callback=_parsed(DsBasis), default=DsBasis.COMPRESSED.value,
                      show_default=True, help="Size basis for decompression speed."),
         click.option("--out", "out_dir", default="hybc-reports", show_default=True,
                      help="Directory for report files."),
         click.option("--format", "formats", callback=_parsed(_parse_formats),
-                     default="csv,json,md,svg", show_default=True,
+                     default=",".join(FORMATS), show_default=True,
                      help="Report formats to write."),
         click.option("--head-to-head", callback=_parsed(_parse_pipeline),
                      default="Zstd+LZ4HC", show_default=True,

@@ -135,22 +135,11 @@ def rank_pipelines(
     return scored
 
 
-def component_frequency(
-    top_rows: Iterable[EfficiencyRow], k: int = 10
-) -> dict[CodecId, int]:
-    """Count codec appearances in the top-k rows of each dataset group.
-
-    A standalone row contributes 1 to its codec; a hybrid row contributes 1
-    to each member. Input rows are expected grouped (and rank-ordered) per
-    dataset, as rank_pipelines emits them.
-    """
+def component_frequency(rows: Iterable[EfficiencyRow]) -> dict[CodecId, int]:
+    """Count codec appearances in the given rows: a standalone row contributes
+    1 to its codec; a hybrid row contributes 1 to each member."""
     counts: dict[CodecId, int] = {c: 0 for c in CodecId}
-    groups: dict[str, int] = {}
-    for row in top_rows:
-        taken = groups.get(row.dataset, 0)
-        groups[row.dataset] = taken + 1
-        if taken >= k:
-            continue
+    for row in rows:
         for codec in row.pipeline.codecs:
             counts[codec] += 1
     return counts

@@ -139,7 +139,7 @@ def test_04_component_frequency_reference_counts():
     (hybrid rows only) reproduces four of the five published numbers and
     gives LZMA = 4 rather than 3. Kept failing on purpose; see the ledger.
     """
-    counts = component_frequency(_reference_rows(), k=10)
+    counts = component_frequency(_reference_rows())
     assert counts == REFERENCE_COMPONENT_COUNTS, (
         f"published reference counts {_fmt(REFERENCE_COMPONENT_COUNTS)} sum to "
         f"{sum(REFERENCE_COMPONENT_COUNTS.values())}, but 30 rows "
@@ -157,7 +157,7 @@ def test_04b_component_frequency_hybrid_rows_reproduce_reference():
     # the attainable part of the reference counts: filtering to hybrid rows
     # reproduces four of the five published numbers exactly
     hybrid_rows = [r for r in _reference_rows() if r.pipeline.is_hybrid]
-    counts = component_frequency(hybrid_rows, k=10)
+    counts = component_frequency(hybrid_rows)
     assert counts[CodecId.ZSTD] == 15
     assert counts[CodecId.BROTLI] == 11
     assert counts[CodecId.BZIP2] == 10

@@ -20,8 +20,8 @@ from hybc.codecs import CodecId, compress_one
 from hybc.errors import CodecFailure
 from hybc.metrics import DsBasis
 from hybc.pipeline import (
-    ContainerHeader, PipelineSpec, compress_pipeline, enumerate_pipelines, pipeline_from_name,
-    serialize_header,
+    HEADER_LEN, ContainerHeader, PipelineSpec, compress_pipeline, enumerate_pipelines,
+    pipeline_from_name, serialize_header,
 )
 from hybc.scoring import DEFAULT_WEIGHTS
 
@@ -499,6 +499,42 @@ def test_cli_decompress_bomb_fails_in_one_line(runner, tmp_path):
     assert len(result.output.splitlines()) == 1
     assert "CorruptStream" in result.output and "more than the 10 allowed" in result.output
     assert not (tmp_path / "o").exists()
+
+
+def _bomb(valid: bytes) -> bytes:
+    header = ContainerHeader(CodecId.ZSTD, None, 10, zlib.crc32(bytes(10)))
+    return serialize_header(header) + compress_one(CodecId.ZSTD, bytes(8 << 20))
+
+
+def _crc_flipped(valid: bytes) -> bytes:
+    flipped = bytearray(valid)
+    flipped[HEADER_LEN - 1] ^= 0xFF  # the last byte of the header's CRC-32
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize(
+    "hostile, error",
+    [
+        (_bomb, "CorruptStream"),
+        (lambda valid: valid[:25], "CorruptStream"),
+        (lambda valid: b"XXXX" + valid[4:], "BadMagic"),
+        (_crc_flipped, "IntegrityMismatch"),
+    ],
+    ids=["bomb", "truncated", "bad-magic", "crc-flip"],
+)
+def test_cli_decompress_failure_leaves_existing_output(runner, tmp_path, tiny_text,
+                                                        hostile, error):
+    """A rejected container never writes OUTPUT: the file already there keeps
+    its bytes, because the write comes after the decode is verified."""
+    container = tmp_path / "in.hybc"
+    container.write_bytes(hostile(compress_pipeline(PipelineSpec(CodecId.ZSTD), tiny_text)))
+    output = tmp_path / "o"
+    output.write_bytes(b"keep")
+    result = runner.invoke(main, ["decompress", str(container), str(output)])
+    assert result.exit_code == 1
+    assert len(result.output.splitlines()) == 1
+    assert error in result.output
+    assert output.read_bytes() == b"keep"
 
 
 def test_cli_bench_writes_reports(runner, three_corpora, tmp_path):

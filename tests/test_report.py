@@ -162,7 +162,7 @@ def test_frequency_emitters():
     bars = [g for g in root.iter(f"{_SVG_NS}g") if g.get("class") == "bar"]
     assert len(bars) == 5
     cohort = _cohort()
-    counts = component_frequency(cohort, k=len(cohort))
+    counts = component_frequency(cohort)
     assert set(counts.values()) == {9}  # each codec: one single and eight hybrids
     root = ET.fromstring(render(frequency_report(counts, len(cohort)), "svg").decode())
     assert _labels(root, "bar", 1) == sorted(c.canonical_name for c in CodecId)

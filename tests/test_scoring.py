@@ -1,14 +1,17 @@
+import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest_oracles import REFERENCE_LARGE_COHORT, measurement_from_metrics
+from hybc.bench import FREQUENCY_TOP_K, write_analysis_reports
 from hybc.codecs import CodecId
 from hybc.errors import MixedCohort
-from hybc.pipeline import pipeline_from_name
+from hybc.pipeline import enumerate_pipelines, pipeline_from_name
 from hybc.scoring import (
     DEFAULT_WEIGHTS,
     EfficiencyRow,
@@ -202,7 +205,7 @@ def test_rank_efficiency_matches_weighted_norms():
 
 def test_component_frequency_counting_rule():
     rows = [_row("Zstd + LZ4HC"), _row("Zstd")]
-    counts = component_frequency(rows, k=10)
+    counts = component_frequency(rows)
     assert counts[CodecId.ZSTD] == 2
     assert counts[CodecId.LZ4HC] == 1
     assert counts[CodecId.LZMA] == 0
@@ -210,15 +213,23 @@ def test_component_frequency_counting_rule():
 
 
 def test_component_frequency_empty_input():
-    assert component_frequency([], k=10) == {c: 0 for c in CodecId}
+    assert component_frequency([]) == {c: 0 for c in CodecId}
 
 
-def test_component_frequency_top_k_cutoff():
-    rows = [_row("Zstd"), _row("LZMA"), _row("Brotli", dataset="e")]
-    counts = component_frequency(rows, k=1)
-    assert counts[CodecId.ZSTD] == 1
-    assert counts[CodecId.LZMA] == 0  # rank 2 in its group, beyond the cutoff
-    assert counts[CodecId.BROTLI] == 1
+def test_frequency_report_counts_each_datasets_top_rows(tmp_path):
+    # 12 ranked rows for one dataset and 3 for another: only the first
+    # FREQUENCY_TOP_K of the first are counted, and every row of the second
+    specs = [spec.display_name for spec in enumerate_pipelines()]
+    rankings = {"a": [_row(name, dataset="a") for name in specs[:12]],
+                "b": [_row(name, dataset="b") for name in specs[12:15]]}
+    write_analysis_reports(rankings, tmp_path, ["json"], DEFAULT_WEIGHTS,
+                           pipeline_from_name("Zstd+LZ4HC"), {})
+    doc = json.loads((tmp_path / "frequency.json").read_text())
+    assert FREQUENCY_TOP_K == 10
+    assert doc["rows_counted"] == 13
+    counted = rankings["a"][:10] + rankings["b"]
+    expected = Counter(c.canonical_name for row in counted for c in row.pipeline.codecs)
+    assert doc["counts"] == {c.canonical_name: expected[c.canonical_name] for c in CodecId}
 
 
 def test_component_frequency_total_invariant():
@@ -227,17 +238,9 @@ def test_component_frequency_total_invariant():
     rows = [
         _row(rng.choice(pipelines), dataset=rng.choice("abc")) for _ in range(40)
     ]
-    counted = {}
-    for row in rows:
-        counted.setdefault(row.dataset, []).append(row)
-    k = 4
-    singles = sum(
-        1 for group in counted.values() for r in group[:k] if not r.pipeline.is_hybrid
-    )
-    hybrids = sum(
-        1 for group in counted.values() for r in group[:k] if r.pipeline.is_hybrid
-    )
-    counts = component_frequency(rows, k=k)
+    singles = sum(1 for r in rows if not r.pipeline.is_hybrid)
+    hybrids = sum(1 for r in rows if r.pipeline.is_hybrid)
+    counts = component_frequency(rows)
     assert sum(counts.values()) == singles + 2 * hybrids
 
 
