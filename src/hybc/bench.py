@@ -7,6 +7,7 @@ construction.
 """
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,13 +33,7 @@ from .report import (
     render,
     run_settings,
 )
-from .scoring import (
-    EfficiencyRow,
-    Weights,
-    balance_table,
-    component_frequency,
-    rank_pipelines,
-)
+from .scoring import EfficiencyRow, Weights, rank_pipelines
 
 FREQUENCY_TOP_K = 10
 
@@ -135,15 +130,17 @@ def measurements_report(rows: Sequence[BenchRow], ds_basis: DsBasis) -> Table:
             *(getattr(m, field) for field in _MEASURED_FIELDS),
             compression_ratio(m), compression_speed(m), decompression_speed(m, ds_basis),
         ]
-        records.append([row.dataset, row.size_class.label if row.size_class else "",
+        records.append([row.dataset, row.size_class.value if row.size_class else "",
                         row.pipeline.display_name, "ok" if row.error is None else "error",
                         *measured, row.error or ""])
     return Table(MEASUREMENT_COLUMNS, records)
 
 
-def read_measurements(doc: dict) -> list[Measurement]:
-    """The successful rows of a measurements JSON document. It comes from
-    outside, so a malformed row, ok or error, raises ValueError, KeyError or TypeError."""
+def read_measurements(raw: bytes) -> tuple[list[Measurement], dict]:
+    """The successful rows and the environment block of a measurements JSON
+    file. It comes from outside, so a malformed file or row, ok or error,
+    raises ValueError, KeyError, TypeError or RecursionError."""
+    doc = json.loads(raw)
     measurements: list[Measurement] = []
     cells: set[tuple[str, PipelineSpec]] = set()
     for row in doc["rows"]:
@@ -164,7 +161,11 @@ def read_measurements(doc: dict) -> list[Measurement]:
             raise ValueError(f"dataset {m.dataset!r} has two ok rows for {m.pipeline.display_name}")
         cells.add((m.dataset, m.pipeline))
         measurements.append(m)
-    return measurements
+    # after the rows, so a non-object document fails on doc["rows"], not with an AttributeError
+    environment = doc.get("environment", {})
+    if not isinstance(environment, dict):
+        raise TypeError(f"environment {environment!r} is not an object")
+    return measurements, environment
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +198,10 @@ def write_analysis_reports(
         duel = _head_to_head_rows(rows, head_to_head)
         if duel:
             tables.append((f"head_to_head_{dataset}", ranking_report(duel, weights)))
-        tables.append((f"balance_{dataset}", balance_report(balance_table(rows))))
+        tables.append((f"balance_{dataset}", balance_report(rows)))
     if rankings:
         top = [row for rows in rankings.values() for row in rows[:FREQUENCY_TOP_K]]
-        tables.append(("frequency", frequency_report(component_frequency(top), len(top))))
+        tables.append(("frequency", frequency_report(top)))
     return [path for stem, table in tables
             for path in _write(outdir, stem, table, formats, metadata)]
 

@@ -7,7 +7,7 @@ errors (click's convention, kept deliberately).
 container modules (`codecs`, `pipeline`) and this one. The `bench` and
 `report` commands live in `hybc.cli_bench`, which the group imports when one
 of them is looked up, and which loads the timing, bench, report and scoring
-modules (and json and csv) with it.
+modules (and json, csv and statistics) with it.
 """
 from __future__ import annotations
 

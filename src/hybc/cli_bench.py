@@ -6,7 +6,6 @@ the one it runs.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import astuple
 from pathlib import Path
 
@@ -123,12 +122,8 @@ def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head)
     with different weights or speed basis, without re-benchmarking."""
     raw = _read_bytes(measurements_file)
     try:
-        doc = json.loads(raw)
-        measurements = bench_module.read_measurements(doc)
+        measurements, environment = bench_module.read_measurements(raw)
         rankings = bench_module.rank_by_dataset(measurements, weights, ds_basis)
-        environment = doc.get("environment", {})
-        if not isinstance(environment, dict):
-            raise TypeError(f"environment {environment!r} is not an object")
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise click.ClickException(f"bad measurements file: {exc}") from exc
     if not measurements:

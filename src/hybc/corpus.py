@@ -26,10 +26,6 @@ class SizeClass(enum.Enum):
     LARGE = "Large"
 
     @property
-    def label(self) -> str:
-        return self.value
-
-    @property
     def target_bytes(self) -> int:
         return _TARGET_BYTES[self]
 

@@ -18,8 +18,8 @@ from typing import Callable, Mapping, Sequence
 
 from .codecs import CodecId, library_versions
 from .metrics import MB, DsBasis
-from .pipeline import HEADER_LEN, PipelineSpec
-from .scoring import DEFAULT_WEIGHTS, EfficiencyRow, Weights
+from .pipeline import HEADER_LEN
+from .scoring import DEFAULT_WEIGHTS, EfficiencyRow, Weights, component_frequency
 
 FORMATS = ("csv", "json", "md", "svg")
 
@@ -187,23 +187,24 @@ def _svg_ranking(rows: Sequence[EfficiencyRow], weights: Weights) -> bytes:
 # ---------------------------------------------------------------------------
 # Balance table (ratio vs compression speed)
 
-def balance_report(pairs: Sequence[tuple[PipelineSpec, float, float]]) -> Table:
-    """(pipeline, CR, CS) projections, best ratio first."""
+def balance_report(rows: Sequence[EfficiencyRow]) -> Table:
+    """Each row's pipeline, CR and CS, best ratio first (ties by display name)."""
+    rows = sorted(rows, key=lambda r: (-r.cr, r.pipeline.display_name))
     return Table(
         columns=["pipeline", "cr", "cs_mb_s"],
-        rows=[(spec.display_name, cr, cs) for spec, cr, cs in pairs],
+        rows=[(r.pipeline.display_name, r.cr, r.cs) for r in rows],
         md_header=["Algorithm/Hybrid", "Compression Ratio", "Compression Speed (MB/s)"],
         md_align="lrr",
-        md_rows=[(spec.display_name, f"{cr:.2f}", f"{cs:.2f}") for spec, cr, cs in pairs],
-        svg=partial(_svg_balance, pairs),
+        md_rows=[(r.pipeline.display_name, f"{r.cr:.2f}", f"{r.cs:.2f}") for r in rows],
+        svg=partial(_svg_balance, rows),
     )
 
 
-def _svg_balance(pairs: Sequence[tuple[PipelineSpec, float, float]]) -> bytes:
+def _svg_balance(rows: Sequence[EfficiencyRow]) -> bytes:
     width, height, pad = 680, 420, 50
     plot_w, plot_h = width - 2 * pad, height - 2 * pad
-    max_cr = max((cr for _, cr, _ in pairs), default=1.0) or 1.0
-    max_cs = max((cs for _, _, cs in pairs), default=1.0) or 1.0
+    max_cr = max((r.cr for r in rows), default=1.0) or 1.0
+    max_cs = max((r.cs for r in rows), default=1.0) or 1.0
     parts = [
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="#333"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="#333"/>',
@@ -213,12 +214,12 @@ def _svg_balance(pairs: Sequence[tuple[PipelineSpec, float, float]]) -> bytes:
         f'<text x="{width - pad}" y="{height - pad + 16}" text-anchor="end">{max_cs:.1f}</text>',
         f'<text x="{pad - 6}" y="{pad + 4}" text-anchor="end">{max_cr:.1f}</text>',
     ]
-    for spec, cr, cs in pairs:
-        cx = pad + (cs / max_cs) * plot_w
-        cy = height - pad - (cr / max_cr) * plot_h
+    for r in rows:
+        cx = pad + (r.cs / max_cs) * plot_w
+        cy = height - pad - (r.cr / max_cr) * plot_h
         parts.append('<g class="point">')
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="#4e79a7"/>')
-        parts.append(f'<text x="{cx + 6:.2f}" y="{cy - 4:.2f}">{spec.display_name}</text>')
+        parts.append(f'<text x="{cx + 6:.2f}" y="{cy - 4:.2f}">{r.pipeline.display_name}</text>')
         parts.append("</g>")
     return _svg(width, height, 11, parts)
 
@@ -226,10 +227,12 @@ def _svg_balance(pairs: Sequence[tuple[PipelineSpec, float, float]]) -> bytes:
 # ---------------------------------------------------------------------------
 # Component frequency
 
-def frequency_report(counts: Mapping[CodecId, int], total_rows: int) -> Table:
-    """Per-codec appearance counts (descending, then by codec name) out of
-    ``total_rows`` ranked rows."""
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].canonical_name))
+def frequency_report(rows: Sequence[EfficiencyRow]) -> Table:
+    """Per-codec appearance counts in ``rows`` (descending, then by codec
+    name), each with its share of the rows."""
+    ordered = sorted(component_frequency(rows).items(),
+                     key=lambda kv: (-kv[1], kv[0].canonical_name))
+    total_rows = len(rows)
     return Table(
         columns=["codec", "count"],
         rows=[(c.canonical_name, n) for c, n in ordered],

@@ -120,7 +120,7 @@ def rank_pipelines(
         EfficiencyRow(
             pipeline=m.pipeline,
             dataset=m.dataset,
-            size_class=classify_size(m.original_bytes).label,
+            size_class=classify_size(m.original_bytes).value,
             cr=crs[i],
             cs=css[i],
             ds=dss[i],
@@ -143,12 +143,3 @@ def component_frequency(rows: Iterable[EfficiencyRow]) -> dict[CodecId, int]:
         for codec in row.pipeline.codecs:
             counts[codec] += 1
     return counts
-
-
-def balance_table(
-    rows: Iterable[EfficiencyRow],
-) -> list[tuple[PipelineSpec, float, float]]:
-    """Project (pipeline, CR, CS) pairs sorted by CR descending."""
-    projected = [(r.pipeline, r.cr, r.cs) for r in rows]
-    projected.sort(key=lambda t: (-t[1], t[0].display_name))
-    return projected

@@ -628,7 +628,7 @@ def test_cli_ds_basis_choices_are_the_enum_values(command):
 ])
 def test_cli_report_ranks_with_a_ds_basis_member(runner, tmp_path, monkeypatch, argv, expected):
     received = []
-    monkeypatch.setattr(bench_mod, "read_measurements", lambda doc: [])
+    monkeypatch.setattr(bench_mod, "read_measurements", lambda raw: ([], {}))
     monkeypatch.setattr(bench_mod, "rank_by_dataset",
                         lambda measurements, weights, basis: received.append(basis) or {})
     measurements = tmp_path / "measurements.json"
@@ -756,6 +756,25 @@ def test_cli_report_reemits_from_measurements(runner, three_corpora, tmp_path):
     assert len(doc["rows"]) == 3
 
 
+@pytest.mark.parametrize("settings", [[], ["--weights", "0.5,0.25,0.25", "--ds-basis", "original"]],
+                         ids=["defaults", "custom"])
+def test_cli_report_rewrites_the_benchs_analysis_files(runner, tmp_path, tiny_text, settings):
+    """`hybc report` with the bench's own settings writes every analysis file
+    byte for byte as `hybc bench` did."""
+    corpus = tmp_path / "small.txt"
+    corpus.write_bytes(tiny_text)
+    out, out2 = tmp_path / "bench", tmp_path / "report"
+    result = runner.invoke(main, ["bench", str(corpus), "--reps", "1", "--out", str(out),
+                                  *settings])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["report", str(out / "measurements.json"), "--out", str(out2),
+                                  *settings])
+    assert result.exit_code == 0, result.output
+    written = sorted(path.name for path in out2.iterdir())
+    assert len(written) == 16  # ranking, head-to-head, balance, frequency x 4 formats
+    assert all((out2 / name).read_bytes() == (out / name).read_bytes() for name in written)
+
+
 _OK_ROW = {
     "dataset": "d", "pipeline": "Zstd", "status": "ok", "original_bytes": 1000,
     "compressed_bytes": 400, "compress_seconds": 0.01, "decompress_seconds": 0.002,
@@ -795,6 +814,9 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
     hostile = [
         b"{this is not json",
         b'{"rows": [1]}',
+        b"[]",
+        b'"rows"',
+        b"null",
         _measurements_doc({"compress_seconds": float("nan")}, {"pipeline": "LZMA"}),
         _measurements_doc({"dataset": "x/y"}, {"dataset": "x/y", "pipeline": "LZMA"}),
         _measurements_doc({"original_bytes": float("inf")}, {"pipeline": "LZMA"}),

@@ -60,6 +60,12 @@ def _cohort():
     ]
 
 
+def _cohort_row(name: str, cr: float = 1.0, cs: float = 1.0) -> EfficiencyRow:
+    return EfficiencyRow(pipeline=pipeline_from_name(name), dataset="d", size_class="Small",
+                         cr=cr, cs=cs, ds=1.0, cr_norm=0.5, cs_norm=0.5, ds_norm=0.5,
+                         efficiency=0.5)
+
+
 def _labels(root, group_class: str, index: int) -> list[str]:
     """Text of the ``index``-th label in each ``<g class=group_class>``."""
     return [
@@ -124,31 +130,46 @@ def test_unknown_format_rejected():
 
 
 def test_balance_emitters():
-    pairs = [
-        (pipeline_from_name("LZMA + Brotli"), 141.59, 6.09),
-        (pipeline_from_name("Zstd + Brotli"), 94.49, 1071.57),
-    ]
-    lines = render(balance_report(pairs), "csv").decode().splitlines()
+    rows = [_cohort_row("Zstd + Brotli", cr=94.49, cs=1071.57),
+            _cohort_row("LZMA + Brotli", cr=141.59, cs=6.09)]
+    lines = render(balance_report(rows), "csv").decode().splitlines()
     assert lines[0] == "pipeline,cr,cs_mb_s"
     assert lines[1] == "LZMA + Brotli,141.59,6.09"
-    md = render(balance_report(pairs), "md").decode()
+    md = render(balance_report(rows), "md").decode()
     assert "141.59" in md and "1071.57" in md
-    doc = json.loads(render(balance_report(pairs), "json"))
+    doc = json.loads(render(balance_report(rows), "json"))
     assert doc["rows"][0]["pipeline"] == "LZMA + Brotli"
-    root = ET.fromstring(render(balance_report(pairs), "svg").decode())
+    root = ET.fromstring(render(balance_report(rows), "svg").decode())
     points = [g for g in root.iter(f"{_SVG_NS}g") if g.get("class") == "point"]
     assert len(points) == 2
-    cohort = [(r.pipeline, r.cr, r.cs) for r in _cohort()]
+    cohort = _cohort()
     root = ET.fromstring(render(balance_report(cohort), "svg").decode())
-    assert _labels(root, "point", 0) == [spec.display_name for spec, _, _ in cohort]
+    by_cr = sorted(cohort, key=lambda r: -r.cr)
+    assert _labels(root, "point", 0) == [r.pipeline.display_name for r in by_cr]
+
+
+def test_balance_report_sorts_by_ratio_then_name():
+    rows = [_cohort_row("Zstd + Brotli", cr=94.49, cs=1071.57),
+            _cohort_row("LZMA + Brotli", cr=141.59, cs=6.09),
+            _cohort_row("Brotli + Zstd", cr=94.49, cs=491.50)]
+    lines = render(balance_report(rows), "csv").decode().splitlines()
+    assert lines[1:] == ["LZMA + Brotli,141.59,6.09", "Brotli + Zstd,94.49,491.5",
+                         "Zstd + Brotli,94.49,1071.57"]
+
+
+def test_balance_report_of_an_empty_cohort_is_its_header():
+    assert render(balance_report([]), "csv") == b"pipeline,cr,cs_mb_s\n"
+    md = render(balance_report([]), "md").decode().splitlines()
+    assert md == ["| Algorithm/Hybrid | Compression Ratio | Compression Speed (MB/s) |",
+                  "|:---|---:|---:|"]
 
 
 def test_frequency_emitters():
-    counts = {
-        CodecId.ZSTD: 15, CodecId.BROTLI: 11, CodecId.BZIP2: 10,
-        CodecId.LZ4HC: 8, CodecId.LZMA: 3,
-    }
-    table = frequency_report(counts, 30)
+    # 30 rows: Zstd in 15, Brotli in 11, Bzip2 in 10, LZ4HC in 8, LZMA in 3
+    chains = (["Zstd + Brotli"] * 8 + ["Zstd + Bzip2"] * 3 + ["Bzip2 + LZ4HC"] * 4
+              + ["LZMA + LZ4HC"] * 2 + ["Zstd"] * 4 + ["Brotli"] * 3 + ["Bzip2"] * 3
+              + ["LZ4HC"] * 2 + ["LZMA"])
+    table = frequency_report([_cohort_row(name) for name in chains])
     lines = render(table, "csv").decode().splitlines()
     assert lines[0] == "codec,count"
     assert lines[1] == "Zstd,15"
@@ -162,9 +183,8 @@ def test_frequency_emitters():
     bars = [g for g in root.iter(f"{_SVG_NS}g") if g.get("class") == "bar"]
     assert len(bars) == 5
     cohort = _cohort()
-    counts = component_frequency(cohort)
-    assert set(counts.values()) == {9}  # each codec: one single and eight hybrids
-    root = ET.fromstring(render(frequency_report(counts, len(cohort)), "svg").decode())
+    assert set(component_frequency(cohort).values()) == {9}  # one single and eight hybrids
+    root = ET.fromstring(render(frequency_report(cohort), "svg").decode())
     assert _labels(root, "bar", 1) == sorted(c.canonical_name for c in CodecId)
 
 

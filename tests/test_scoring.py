@@ -16,7 +16,6 @@ from hybc.scoring import (
     DEFAULT_WEIGHTS,
     EfficiencyRow,
     Weights,
-    balance_table,
     component_frequency,
     efficiency_score,
     minmax_normalize,
@@ -201,7 +200,7 @@ def test_rank_efficiency_matches_weighted_norms():
 
 
 # ---------------------------------------------------------------------------
-# component_frequency / balance_table
+# component_frequency
 
 def test_component_frequency_counting_rule():
     rows = [_row("Zstd + LZ4HC"), _row("Zstd")]
@@ -243,19 +242,3 @@ def test_component_frequency_total_invariant():
     counts = component_frequency(rows)
     assert sum(counts.values()) == singles + 2 * hybrids
 
-
-def test_balance_table_projection():
-    rows = [
-        _row("LZMA + Brotli", cr=141.59, cs=6.09),
-        _row("Zstd + Brotli", cr=94.49, cs=1071.57),
-        _row("Brotli + Zstd", cr=117.10, cs=491.50),
-    ]
-    pairs = balance_table(rows)
-    assert len(pairs) == len(rows)
-    assert pairs[0][0].display_name == "LZMA + Brotli"
-    assert pairs[0][1:] == (141.59, 6.09)
-    assert [p[1] for p in pairs] == sorted((p[1] for p in pairs), reverse=True)
-
-
-def test_balance_table_empty():
-    assert balance_table([]) == []
