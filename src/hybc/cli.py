@@ -111,9 +111,8 @@ def compress(input_path: str, output_path: str, pipeline_name: str) -> None:
 def decompress(input_path: str, output_path: str) -> None:
     """Restore the original bytes from a container; the header alone names
     the codec chain, so no pipeline argument is needed."""
-    container = _read_bytes(input_path)
     try:
-        data = decompress_pipeline(container)
+        data = decompress_pipeline(_read_bytes(input_path))
     except HybcError as exc:
         raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
     _write_bytes(output_path, data)

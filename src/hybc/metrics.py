@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 import gc
 import math
-import mmap
 import statistics
 import threading
 import time
@@ -59,11 +58,11 @@ class Measurement:
 
 @dataclass(frozen=True)
 class Stage:
-    """One codec step timed on its input: its output, and one compress and
-    one decompress sample per repetition. A first stage's output is the
-    one-codec container, so its samples include the framing."""
+    """One codec step timed on its input: the last round's output, and one
+    compress and one decompress sample per repetition. A first stage's output
+    is the one-codec container, so its samples include the framing."""
 
-    output: mmap.mmap
+    output: bytes
     compress: list[float]
     decompress: list[float]
 
@@ -138,7 +137,8 @@ def measure(
 def _time_stage(encode: Callable[[], bytes], decode: Callable[[bytes], bytearray], source,
                 repetitions: int, clock: Callable[[], float], name: str) -> Stage:
     """One untimed warm-up, then `repetitions` timed rounds of encode and
-    decode with the cyclic collector off; each timed decode must give back `source`."""
+    decode with the cyclic collector off; each timed decode must give back `source`. A round's
+    buffers are freed before the next round's first clock read, none between its own reads."""
     decode(encode())
     compress_times = []
     decompress_times = []
@@ -146,6 +146,7 @@ def _time_stage(encode: Callable[[], bytes], decode: Callable[[bytes], bytearray
     gc.disable()
     try:
         for _ in range(repetitions):
+            output = restored = None
             t0 = clock()
             output = encode()
             t1 = clock()
@@ -159,13 +160,7 @@ def _time_stage(encode: Callable[[], bytes], decode: Callable[[bytes], bytearray
     finally:
         if collecting:
             gc.enable()
-    # The output is kept in a mapping of its own, off the malloc heap. A first
-    # stage's output outlives many cells; on the heap it can split the free
-    # block that glibc hands each LZMA encoder, which then grows the heap
-    # instead: hybc bench on Small peaked at 51-60 MB instead of 44.5 MB.
-    kept = mmap.mmap(-1, len(output))
-    kept.write(output)
-    return Stage(kept, compress_times, decompress_times)
+    return Stage(output, compress_times, decompress_times)
 
 
 def compression_ratio(m: Measurement) -> float:

@@ -154,13 +154,15 @@ def decompress_pipeline(container) -> bytearray:
     The header caps every stage before it allocates: the last stage may
     decode to at most original_len bytes, and the stream between two stages
     to at most what the first codec writes for original_len bytes. Each stage
-    decodes into one buffer of its own; the payload is read in place."""
+    decodes into one buffer of its own; the payload is read in place, and a
+    hybrid's container is let go once its second stage has decoded it."""
     header = parse_header(container)
     payload = memoryview(container)[HEADER_LEN:]
     if header.second_codec is not None:
         payload = decompress_one(
             header.second_codec, payload, stream_bound(header.first_codec, header.original_len)
         )
+        del container
     data = decompress_one(header.first_codec, payload, header.original_len)
     if len(data) != header.original_len:
         raise IntegrityMismatch(

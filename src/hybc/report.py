@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import platform
 import time
 from dataclasses import dataclass
@@ -40,13 +41,21 @@ def environment_metadata(*, repetitions: int) -> dict:
     """Provenance block for machine-readable reports.
 
     Speed numbers are hardware-bound, so reports record the codec library
-    versions, clock characteristics, and configuration they came from.
+    versions, CPU, clock characteristics, and configuration they came from.
+    The CPU model comes from /proc/cpuinfo: platform.processor() forks `uname -p`.
     """
+    try:
+        with open("/proc/cpuinfo") as info:
+            cpu_model = next(ln.split(":", 1)[1].strip() for ln in info if ln.startswith("model name"))
+    except (OSError, StopIteration):
+        cpu_model = platform.machine()
     clock = time.get_clock_info("perf_counter")
     return {
         "codec_library_versions": library_versions(),
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "cpu_model": cpu_model,
+        "cpu_count": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "clock": {
             "name": "time.perf_counter",
             "implementation": clock.implementation,

@@ -146,6 +146,48 @@ def test_clock_read_four_times_per_stage_and_round(tiny_text, monkeypatch, reps)
     assert events == stage + ["dec"] and events.count("t") == 4 * reps
 
 
+@pytest.mark.parametrize("reps", [1, 3])
+def test_no_round_buffer_outlives_its_round_or_dies_while_timed(reps):
+    """Buffers are numbered as they are made: the warm-up's encode and decode
+    are 0 and 1, round r's are 2 + 2r and 3 + 2r. Each records, when it dies,
+    how many clock reads had happened; round r reads the clock for the
+    (4r + 1)th to the (4r + 4)th time."""
+    from hybc.metrics import _time_stage
+
+    reads = 0
+    made = 0
+    died = {}
+
+    class Buffer(bytearray):
+        def __del__(self):
+            died[self.index] = reads
+
+    def buffer(content):
+        nonlocal made
+        buf = Buffer(content)
+        buf.index, made = made, made + 1
+        return buf
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return reads * 0.001
+
+    source = b"source"
+    stage = _time_stage(lambda: buffer(b"stream"), lambda stream: buffer(source),
+                        source, reps, clock, "fake")
+    assert made == 2 + 2 * reps
+    for r in range(reps):
+        # every buffer made before round r is dead at its first clock read
+        assert all(died[i] <= 4 * r for i in range(2 + 2 * r)), (r, died)
+    # none dies between the reads around an encode or a decode
+    assert not [d for d in died.values() if d % 4 in (1, 3)], died
+    # the last round's encode result is the stage output, the only one alive
+    assert stage.output.index == 2 * reps and set(died) == set(range(made)) - {2 * reps}
+    del stage
+    assert 2 * reps in died
+
+
 def test_median_ignores_one_slow_repetition(tiny_text):
     # clock reads per repetition: compress start/stop, decompress start/stop
     gap = 0.001

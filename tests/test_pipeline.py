@@ -1,6 +1,8 @@
 import random
 import struct
+import sys
 import tracemalloc
+import weakref
 import zlib
 from pathlib import Path
 
@@ -401,6 +403,66 @@ def test_stepwise_decode_holds_output_once(codec, small_corpus):
     peak, error = _decode_peak(large)
     assert error is None
     assert peak - baseline < 1.5 * len(text), f"peak {peak} B, baseline {baseline} B"
+
+
+class _Container(bytearray):
+    """A container that can be weakly referenced, which bytes cannot."""
+
+
+_LET_GO = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 the caller's value stack keeps a call's argument alive until it returns",
+)
+
+
+def _first_decode_probe(monkeypatch, spec, data):
+    """make() builds spec's container of data and keeps only a weak reference
+    to it; `alive` records, at each decode by the chain's first codec, whether
+    that container still lives."""
+    import hybc.pipeline as pipeline_mod
+
+    container = compress_pipeline(spec, data)
+    ref, alive = None, []
+    real = pipeline_mod.decompress_one
+
+    def make():
+        nonlocal ref
+        made = _Container(container)
+        ref = weakref.ref(made)
+        return made
+
+    def probing(codec, stream, cap):
+        if codec == spec.first:
+            alive.append(ref() is not None)
+        return real(codec, stream, cap)
+
+    monkeypatch.setattr(pipeline_mod, "decompress_one", probing)
+    return make, alive
+
+
+@_LET_GO
+@pytest.mark.parametrize("spec", [PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC),
+                                  PipelineSpec(CodecId.ZSTD)])
+def test_hybrid_container_let_go_before_its_first_codec_decodes(monkeypatch, tiny_text, spec):
+    # a one-codec container is the payload its only decode reads, so it lives on
+    make, alive = _first_decode_probe(monkeypatch, spec, tiny_text)
+    # called outside the assert, whose rewriting would keep the argument
+    restored = decompress_pipeline(make())
+    assert restored == tiny_text
+    assert alive == [not spec.is_hybrid]
+
+
+@_LET_GO
+def test_cli_decompress_keeps_no_reference_to_the_container(monkeypatch, tmp_path, tiny_text):
+    import hybc.cli as cli_mod
+
+    make, alive = _first_decode_probe(monkeypatch, PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC),
+                                      tiny_text)
+    monkeypatch.setattr(cli_mod, "_read_bytes", lambda path: make())
+    out = tmp_path / "restored"
+    cli_mod.main(["decompress", "in.hybc", str(out)], standalone_mode=False)
+    assert out.read_bytes() == tiny_text
+    assert alive == [False]
 
 
 # Zstd + LZ4HC container of generate_synthetic(SMALL, 42), written by

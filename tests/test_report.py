@@ -1,5 +1,8 @@
 import hashlib
+import io
 import json
+import os
+import platform
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -205,8 +208,42 @@ def test_measurements_emitter():
         render(table, "md")
 
 
-def test_environment_metadata_contents():
+def test_environment_metadata_contents(monkeypatch):
+    import hybc.report as report_mod
+
+    def forked(*args):
+        raise AssertionError("platform.processor() forks `uname -p`")
+
+    monkeypatch.setattr(platform, "processor", forked)
     meta = environment_metadata(repetitions=5)
+    try:
+        with open("/proc/cpuinfo") as info:
+            models = [ln.split(":", 1)[1].strip() for ln in info if ln.startswith("model name")]
+    except OSError:
+        models = []
+    assert meta["cpu_model"] == (models[0] if models else platform.machine())
+    if hasattr(os, "sched_getaffinity"):
+        assert meta["cpu_count"] == len(os.sched_getaffinity(0))
+    else:
+        assert meta["cpu_count"] == os.cpu_count()
+    # without /proc/cpuinfo, or without a model name in it, the machine type
+    # stands in; without sched_getaffinity, the CPU count is os.cpu_count()
+    monkeypatch.setattr(report_mod, "open", lambda path: io.StringIO("processor\t: 0\n"),
+                        raising=False)
+    assert environment_metadata(repetitions=5)["cpu_model"] == platform.machine()
+    monkeypatch.setattr(report_mod, "open", lambda path: io.StringIO(
+        "processor\t: 0\nmodel name\t: Example CPU @ 2.0GHz\nmodel name\t: Other\n"))
+    assert environment_metadata(repetitions=5)["cpu_model"] == "Example CPU @ 2.0GHz"
+
+    def missing(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(report_mod, "open", missing)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    fallback = environment_metadata(repetitions=5)
+    assert fallback["cpu_model"] == platform.machine()
+    assert fallback["cpu_count"] == 7
     assert set(meta["codec_library_versions"]) == {
         "lzma", "zstd", "brotli", "bzip2", "lz4", "crc32",
     }
