@@ -137,12 +137,11 @@ def measurements_report(rows: Sequence[BenchRow], ds_basis: DsBasis) -> Table:
 
 
 def read_measurements(raw: bytes) -> tuple[list[Measurement], dict]:
-    """The successful rows and the environment block of a measurements JSON
-    file. It comes from outside, so a malformed file or row, ok or error,
-    raises ValueError, KeyError, TypeError or RecursionError."""
+    """The ok rows and the environment block of a measurements JSON file, only
+    parsed: rank_pipelines judges the cohort. A malformed file or row, ok or
+    error, raises ValueError, KeyError, TypeError or RecursionError."""
     doc = json.loads(raw)
     measurements: list[Measurement] = []
-    cells: set[tuple[str, PipelineSpec]] = set()
     for row in doc["rows"]:
         if not isinstance(row, dict):
             raise TypeError(f"row {row!r} is not an object")
@@ -155,12 +154,8 @@ def read_measurements(raw: bytes) -> tuple[list[Measurement], dict]:
             continue
         if row.get("status") != "ok":
             raise ValueError(f"status {row.get('status')!r} is neither 'ok' nor 'error'")
-        m = Measurement(pipeline=pipeline, dataset=row["dataset"],
-                        **{field: row[field] for field in _MEASURED_FIELDS})
-        if (m.dataset, m.pipeline) in cells:
-            raise ValueError(f"dataset {m.dataset!r} has two ok rows for {m.pipeline.display_name}")
-        cells.add((m.dataset, m.pipeline))
-        measurements.append(m)
+        measurements.append(Measurement(pipeline=pipeline, dataset=row["dataset"],
+                                        **{field: row[field] for field in _MEASURED_FIELDS}))
     # after the rows, so a non-object document fails on doc["rows"], not with an AttributeError
     environment = doc.get("environment", {})
     if not isinstance(environment, dict):

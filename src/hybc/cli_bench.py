@@ -14,6 +14,7 @@ import click
 from . import bench as bench_module
 from . import cli
 from .cli import _parse_pipeline, _read_bytes
+from .errors import MixedCohort
 from .metrics import DsBasis, compression_ratio
 from .pipeline import enumerate_pipelines
 from .report import FORMATS
@@ -124,7 +125,7 @@ def report(measurements_file, weights, ds_basis, out_dir, formats, head_to_head)
     try:
         measurements, environment = bench_module.read_measurements(raw)
         rankings = bench_module.rank_by_dataset(measurements, weights, ds_basis)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError, MixedCohort) as exc:
         raise click.ClickException(f"bad measurements file: {exc}") from exc
     if not measurements:
         raise click.ClickException("measurements file holds no successful rows")

@@ -42,7 +42,7 @@ class RoundTripMismatch(HybcError):
 
 
 class MixedCohort(HybcError):
-    """Ranking was asked to normalize rows from more than one dataset."""
+    """Rows to normalize are not one cohort: two datasets or texts, or a pipeline twice."""
 
 
 class InvalidUtf8(HybcError):

@@ -42,8 +42,10 @@ def environment_metadata(*, repetitions: int) -> dict:
 
     Speed numbers are hardware-bound, so reports record the codec library
     versions, CPU, clock characteristics, and configuration they came from.
-    The CPU model comes from /proc/cpuinfo: platform.processor() forks `uname -p`.
+    The CPU model comes from /proc/cpuinfo and the platform from os.uname() and
+    the C library: platform.processor() and platform.platform() fork `uname -p`.
     """
+    uname = os.uname()
     try:
         with open("/proc/cpuinfo") as info:
             cpu_model = next(ln.split(":", 1)[1].strip() for ln in info if ln.startswith("model name"))
@@ -53,7 +55,7 @@ def environment_metadata(*, repetitions: int) -> dict:
     return {
         "codec_library_versions": library_versions(),
         "python": platform.python_version(),
-        "platform": platform.platform(),
+        "platform": f"{uname.sysname}-{uname.release}-{uname.machine}-with-{''.join(platform.libc_ver())}",
         "cpu_model": cpu_model,
         "cpu_count": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "clock": {

@@ -1,7 +1,7 @@
 """Min-max normalization, weighted efficiency scores, and derived analyses.
 
-Normalization is always taken within one dataset's cohort of pipelines;
-mixing datasets would compare numbers on different scales and is rejected.
+Normalization is always taken within one dataset's cohort of pipelines, all
+measured on one text; any other mix compares different scales and is rejected.
 """
 from __future__ import annotations
 
@@ -97,19 +97,19 @@ def rank_pipelines(
 ) -> list[EfficiencyRow]:
     """Score one dataset's measurements and sort best-first.
 
-    Raw metrics are normalized across the given cohort, combined with the
-    weights, and sorted by descending efficiency (ties broken by ascending
-    display name). The result is a permutation of the input rows.
+    Only this checks the cohort: the rows come from one dataset and one text
+    (one ``original_bytes``) and name each pipeline once, or MixedCohort is
+    raised. Raw metrics are min-max normalized, weighted, and sorted by
+    descending efficiency, ties by display name: a permutation of the rows.
     """
     if len(rows) < 2:
         raise ValueError("a cohort needs at least 2 rows to normalize")
-    datasets = {m.dataset for m in rows}
-    if len(datasets) != 1:
-        raise MixedCohort(
-            "rows span datasets {}; normalize one dataset at a time".format(
-                ", ".join(sorted(datasets))
-            )
-        )
+    texts = sorted({(m.dataset, m.original_bytes) for m in rows})
+    if len(texts) != 1:
+        raise MixedCohort(f"rows span (dataset, original_bytes) {texts}; rank one text at a time")
+    names = [m.pipeline.display_name for m in rows]
+    if twice := sorted({name for name in names if names.count(name) > 1}):
+        raise MixedCohort(f"dataset {texts[0][0]!r} lists {', '.join(twice)} more than once")
     crs = [compression_ratio(m) for m in rows]
     css = [compression_speed(m) for m in rows]
     dss = [decompression_speed(m, ds_basis) for m in rows]

@@ -408,6 +408,25 @@ print("ok")
 """
 
 
+_ENVIRONMENT = """
+import platform, sys
+from hybc.report import environment_metadata
+recorded = environment_metadata(repetitions=1)["platform"]
+assert "subprocess" not in sys.modules, "recording the environment started a process"
+print(recorded)
+print(platform.platform())
+"""
+
+
+def test_environment_metadata_starts_no_process():
+    """The platform string is read without running `uname -p`, which
+    platform.platform() and platform.processor() do through subprocess; on
+    Linux it is spelled as platform.platform() spells it."""
+    recorded, expected = _child(_ENVIRONMENT).splitlines()
+    if sys.platform == "linux":
+        assert recorded == expected
+
+
 def test_lazy_namespace_binds_every_public_name():
     """Each name in hybc.__all__ is its submodule's object, through attribute
     access, `from hybc import *` and dir(); submodules still import by name."""
@@ -827,6 +846,8 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         b"[" * 200_000,
         _measurements_doc({}, {"pipeline": "LZMA"}, {"pipeline": "Brotli", "status": "OK"}),
         _measurements_doc({}, {"pipeline": "LZMA"}, {"pipeline": "Brotli", "status": None}),
+        # one dataset measured on two texts: its rows are not one cohort
+        _measurements_doc({"original_bytes": 10}, {"pipeline": "LZ4HC"}, {"pipeline": "LZMA"}),
         # an error row is skipped only once its pipeline and dataset check out
         *(json.dumps({"rows": [_OK_ROW, _OK_ROW | {"pipeline": "LZMA"}, row]}).encode()
           for row in ({"status": "error", "pipeline": 5}, {"status": "error"},
@@ -845,7 +866,9 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         result = runner.invoke(main, ["report", str(bad), "--out", str(tmp_path / "o")])
         assert result.exit_code == 1, payload
         assert isinstance(result.exception, SystemExit), payload  # no traceback
-        assert "bad measurements file: " in result.output, payload
+        assert result.output.startswith("Error: bad measurements file: "), payload
+        assert len(result.output.splitlines()) == 1, payload
+        assert not (tmp_path / "o").exists(), payload
 
 
 def test_cli_report_keeps_the_measuring_environment(runner, three_corpora, tmp_path, monkeypatch):

@@ -364,7 +364,13 @@ from hybc import CodecId, IntegrityMismatch, PipelineSpec, _native
 from hybc import compress_pipeline, decompress_pipeline, library_versions
 assert "subprocess" not in set(sys.modules) - before
 assert _native.crc32 is zlib.crc32
+assert _native.crc32_version().startswith("zlib ")
 assert library_versions()["crc32"] == "zlib " + zlib.ZLIB_RUNTIME_VERSION
+from hybc.corpus import SizeClass, generate_synthetic
+small = generate_synthetic(SizeClass.SMALL, 42)
+packed = compress_pipeline(PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC), small)
+assert decompress_pipeline(packed) == small
+print(packed.hex())
 text = "अक्षर text ".encode() * 300
 container = bytearray(compress_pipeline(PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC), text))
 assert decompress_pipeline(container) == text
@@ -376,17 +382,21 @@ except IntegrityMismatch:
 """
 
 
-def test_crc32_falls_back_to_zlib_without_libdeflate():
+def test_crc32_falls_back_to_zlib_without_libdeflate(small_corpus):
     """Where no libdeflate soname loads, hybc imports without a library
-    search, takes zlib's CRC-32, and still round-trips and rejects a
-    container whose CRC-32 does not match."""
+    search, takes zlib's CRC-32, writes the same Small container as this
+    build, and still round-trips and rejects a container whose CRC-32 does
+    not match."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _WITHOUT_LIBDEFLATE],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["rejected"]
+    packed, verdict = proc.stdout.split()
+    assert bytes.fromhex(packed) == compress_pipeline(
+        PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC), small_corpus)
+    assert verdict == "rejected"
 
 
 def test_brotli_output_regrows_up_to_cap(monkeypatch):

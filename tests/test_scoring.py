@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -160,12 +161,21 @@ def test_rank_requires_at_least_two_rows():
         rank_pipelines([measurement_from_metrics("Zstd", 2.0, 10.0, 10.0)])
 
 
-def test_rank_rejects_mixed_datasets():
+@pytest.mark.parametrize("change, message", [
+    ({"dataset": "b"}, r"\('a', 13312000\), \('b', 13312000\)"),
+    ({"original_bytes": 10}, r"\('a', 10\), \('a', 13312000\)"),
+    ({"pipeline": pipeline_from_name("Zstd")}, "'a' lists Zstd more than once"),
+], ids=["another-dataset", "another-text", "pipeline-twice"])
+def test_rank_rejects_mixed_datasets(change, message):
+    """Rows form one cohort only when they share a dataset and a text (one
+    original_bytes) and name each pipeline once; rank_pipelines is the one
+    place that checks."""
     rows = [
         measurement_from_metrics("Zstd", 2.0, 10.0, 10.0, dataset="a"),
-        measurement_from_metrics("LZMA", 3.0, 5.0, 5.0, dataset="b"),
+        measurement_from_metrics("Brotli", 2.5, 8.0, 8.0, dataset="a"),
+        replace(measurement_from_metrics("LZMA", 3.0, 5.0, 5.0, dataset="a"), **change),
     ]
-    with pytest.raises(MixedCohort):
+    with pytest.raises(MixedCohort, match=message):
         rank_pipelines(rows)
 
 
