@@ -34,7 +34,7 @@ class DsBasis(enum.Enum):
 
 @dataclass(frozen=True)
 class Measurement:
-    """Raw sizes and median timings for one pipeline on one dataset."""
+    """Raw sizes and median timings for one pipeline on one non-empty text."""
 
     pipeline: PipelineSpec
     dataset: str
@@ -47,6 +47,8 @@ class Measurement:
     def __post_init__(self):
         if type(self.original_bytes) is not int or self.original_bytes < 0:
             raise ValueError("original_bytes must be an int >= 0")
+        if self.original_bytes == 0:
+            raise ValueError("cannot measure an empty buffer")
         if type(self.compressed_bytes) is not int or self.compressed_bytes < HEADER_LEN:
             raise ValueError(f"compressed_bytes must be an int >= {HEADER_LEN} (header)")
         for seconds in (self.compress_seconds, self.decompress_seconds):
@@ -96,8 +98,6 @@ def measure(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if not data:
-        raise ValueError("cannot measure an empty buffer")
     if stages is None:
         stages = {}
     name = spec.display_name

@@ -226,6 +226,32 @@ def test_07_compression_trends_large_corpus():
     )
 
 
+def _shaped_like_the_published_corpus(seed: int) -> bytes:
+    """The first ~850 KB of synthetic Medium, cut after a space, repeated to
+    the published Large text's 13,312,000 bytes. The repeat distance is past
+    LZ4's 64 KB window and near Bzip2's 900 KB block, while the Zstd, Brotli
+    and LZMA windows span it."""
+    medium = generate_synthetic(SizeClass.MEDIUM, seed)
+    span = medium[:medium.rindex(b" ", 0, 850_000) + 1]
+    size = 13_312_000
+    return (span * (size // len(span) + 1))[:size]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_07b_published_ratio_order_on_a_shaped_text(seed):
+    started = time.perf_counter()
+    text = _shaped_like_the_published_corpus(seed)
+    published = [name for name, *_ in sorted(REFERENCE_LARGE_COHORT, key=lambda row: -row[1])]
+    ratios = {name: len(text) / len(compress_pipeline(pipeline_from_name(name), text))
+              for name in published}
+    # strictly in the published order, Zstd + LZ4HC above Zstd included
+    assert all(ratios[a] > ratios[b] for a, b in zip(published, published[1:])), ratios
+    print(
+        f"[acceptance] published ratio order on a shaped text (seed {seed}): PASS "
+        f"({time.perf_counter() - started:.0f}s)"
+    )
+
+
 _EXTERNAL_DATASET = os.environ.get("HYBC_LARGE_REFERENCE_DATASET", "")
 
 

@@ -848,6 +848,8 @@ def test_cli_report_rejects_bad_file(runner, tmp_path):
         _measurements_doc({}, {"pipeline": "LZMA"}, {"pipeline": "Brotli", "status": None}),
         # one dataset measured on two texts: its rows are not one cohort
         _measurements_doc({"original_bytes": 10}, {"pipeline": "LZ4HC"}, {"pipeline": "LZMA"}),
+        # no text was measured: every row of an empty one is refused, not ranked
+        _measurements_doc({"original_bytes": 0}, {"pipeline": "LZ4HC", "original_bytes": 0}),
         # an error row is skipped only once its pipeline and dataset check out
         *(json.dumps({"rows": [_OK_ROW, _OK_ROW | {"pipeline": "LZMA"}, row]}).encode()
           for row in ({"status": "error", "pipeline": 5}, {"status": "error"},

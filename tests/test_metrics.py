@@ -348,6 +348,7 @@ def test_metrics_strictly_positive():
         {"original": 10, "compressed": 20, "tc": True},
         {"original": 10, "compressed": 20, "td": "1.0"},
         {"original": 10, "compressed": 20, "reps": True},
+        {"original": 0, "compressed": 20},
     ],
 )
 def test_measurement_validation(kwargs):
