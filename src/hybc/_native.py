@@ -4,26 +4,43 @@ Each library is opened by the first of its listed sonames that loads and is
 searched for nowhere else; where none loads, the import raises CodecFailure
 (libdeflate alone is optional).
 
-Only the small one-shot surface this package needs is bound. Buffers are
-passed to the libraries in place, so inputs may be bytes, bytearray or a
-memoryview and are never copied. A decoder writes into one bytearray and
-returns it. An encoder writes into an anonymous mapping of the compress bound,
-which the kernel backs only where the library writes, and copies out only the
-bytes it wrote; a bound is 0 where no stream of that input length can exist.
-The Zstd and LZ4 decoders know their exact output size and zero-fill it, so
-a rejected stream touches the same memory wherever its fault lies. The Brotli
-decoder's buffer is a guess, so it is allocated and grown without
-zero-filling. A decoder returns only bytes the library reports it wrote.
+Only the small surface this package needs is bound. Buffers are passed to
+the libraries in place, so inputs may be bytes, bytearray or a memoryview and
+are never copied. An encoder writes into an anonymous mapping of the compress
+bound, which the kernel backs only where the library writes, and copies out
+only the bytes it wrote; a bound is 0 where no stream of that input length
+can exist.
+
 A decoder takes an optional cap, the most bytes its output may hold. Where a
 stream declares its decoded size (the zstd frame header, the LZ4HC length
 prefix), it is checked against the largest expansion the format allows and
-against the cap before a buffer of exactly that size is allocated, so a
-corrupted size claim never triggers a huge allocation. Brotli declares no
-size, so its buffer starts at sixteen times the stream length plus 1 KiB and
-grows geometrically with its real output, up to the cap.
+against the cap before anything is allocated, so a corrupted size claim never
+triggers a huge allocation. The Zstd and Brotli decoders run in one of two
+modes, which share these checks:
+
+- Without a sink, a decoder writes into one bytearray and returns it. The
+  Zstd and LZ4 decoders know their exact output size and zero-fill it, so a
+  rejected stream touches the same memory wherever its fault lies. Brotli
+  declares no size, so its buffer starts at sixteen times the stream length
+  plus 1 KiB and grows geometrically with its real output, up to the cap,
+  without zero-filling.
+- With a sink, a decoder holds one buffer of at most SINK_CHUNK bytes, calls
+  sink(chunk) each time the library fills it and returns the number of bytes
+  sent. A chunk is a view of that buffer, valid only during the call. Zstd
+  decodes with a ZSTD_DCtx. Its window buffer is bounded by the checked
+  content size, not by the window the frame claims: libzstd sizes it to the
+  smaller of the two (ZSTD_decodingBufferSize_min) and adds at most one
+  128 KiB block of input, so it stays within the one-shot decoder's output
+  buffer plus 128 KiB. A frame whose window is over libzstd's default
+  ZSTD_d_windowLogMax (2^27; hybc writes 2^21) is refused. The decoder never
+  sends more than the cap, or than a Zstd frame declares, and checks the
+  total at the end, so the sink sees bytes before they are known to be right.
+
+Either way a decoder returns or sends only bytes the library reports it wrote.
 
 crc32 is libdeflate's libdeflate_crc32, which folds with carry-less multiplies,
-or zlib.crc32 where no libdeflate loads; both compute the same CRC-32.
+or zlib.crc32 where no libdeflate loads; both compute the same CRC-32 and
+take a running value to continue from.
 """
 from __future__ import annotations
 
@@ -138,9 +155,29 @@ _zstd.ZSTD_findFrameCompressedSize.restype = c_size_t
 _zstd.ZSTD_findFrameCompressedSize.argtypes = [c_void_p, c_size_t]
 _zstd.ZSTD_decompress.restype = c_size_t
 _zstd.ZSTD_decompress.argtypes = [c_void_p, c_size_t, c_void_p, c_size_t]
+_zstd.ZSTD_DStreamOutSize.restype = c_size_t
+_zstd.ZSTD_DStreamOutSize.argtypes = []
+_zstd.ZSTD_createDCtx.restype = c_void_p
+_zstd.ZSTD_createDCtx.argtypes = []
+_zstd.ZSTD_freeDCtx.restype = c_size_t
+_zstd.ZSTD_freeDCtx.argtypes = [c_void_p]
+
+
+class _ZstdBuffer(ctypes.Structure):
+    """ZSTD_inBuffer and ZSTD_outBuffer, which share one layout."""
+
+    _fields_ = [("ptr", c_void_p), ("size", c_size_t), ("pos", c_size_t)]
+
+
+_zstd.ZSTD_decompressStream.restype = c_size_t
+_zstd.ZSTD_decompressStream.argtypes = [c_void_p, POINTER(_ZstdBuffer), POINTER(_ZstdBuffer)]
 
 # ZSTD_CONTENTSIZE_ERROR; ZSTD_CONTENTSIZE_UNKNOWN is the one value above it.
 _ZSTD_CONTENTSIZE_ERROR = 2**64 - 2
+
+# The largest chunk a decoder sends to a sink: ZSTD_DStreamOutSize(), one
+# zstd block (128 KiB).
+SINK_CHUNK = _zstd.ZSTD_DStreamOutSize()
 
 
 def _zstd_error(code: int) -> str:
@@ -169,9 +206,10 @@ def zstd_compress(data, level: int) -> bytes:
             return ctypes.string_at(out, code)
 
 
-def zstd_decompress(data, cap: int = sys.maxsize) -> bytearray:
+def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
     """Decode data, which must be exactly one zstd frame declaring its size,
-    to at most cap bytes."""
+    to at most cap bytes: into one bytearray, or, with a sink, in chunks
+    of at most SINK_CHUNK bytes sent to sink, returning their count."""
     with _Pinned(data) as (src, n):
         declared = _zstd.ZSTD_getFrameContentSize(src, n)
         if declared >= _ZSTD_CONTENTSIZE_ERROR:
@@ -184,14 +222,45 @@ def zstd_decompress(data, cap: int = sys.maxsize) -> bytearray:
             raise CorruptStream(f"zstd: frame declares {declared} bytes, more than the {cap} allowed")
         if _zstd.ZSTD_findFrameCompressedSize(src, n) != n:
             raise CorruptStream("zstd: truncated frame or trailing bytes")
-        out = bytearray(declared)
-        with _Pinned(out) as (dst, _):
-            code = _zstd.ZSTD_decompress(dst, declared, src, n)
-    if _zstd.ZSTD_isError(code):
-        raise CorruptStream(f"zstd: {_zstd_error(code)}")
+        if sink is None:
+            out = bytearray(declared)
+            with _Pinned(out) as (dst, _):
+                code = _zstd.ZSTD_decompress(dst, declared, src, n)
+            if _zstd.ZSTD_isError(code):
+                raise CorruptStream(f"zstd: {_zstd_error(code)}")
+        else:
+            code = _zstd_stream(src, n, declared, sink)
     if code != declared:
         raise CorruptStream(f"zstd: frame decoded to {code} bytes, declared {declared}")
-    return out
+    return out if sink is None else code
+
+
+def _zstd_stream(src: int, n: int, declared: int, sink) -> int:
+    """Decode the checked frame of n bytes at src into sink; the bytes sent."""
+    dctx = _zstd.ZSTD_createDCtx()
+    if not dctx:
+        raise CodecFailure("zstd: cannot allocate decoder")
+    try:
+        out = bytearray(min(SINK_CHUNK, declared))
+        with _Pinned(out) as (dst, size), memoryview(out) as view:
+            inb, outb = _ZstdBuffer(src, n, 0), _ZstdBuffer(dst, size, 0)
+            sent = 0
+            # libzstd reports a call sequence that stops making progress as
+            # an error, so the loop ends without a guard of its own.
+            while True:
+                outb.pos = 0
+                code = _zstd.ZSTD_decompressStream(dctx, byref(outb), byref(inb))
+                if _zstd.ZSTD_isError(code):
+                    raise CorruptStream(f"zstd: {_zstd_error(code)}")
+                sent += outb.pos
+                if sent > declared:
+                    raise CorruptStream(f"zstd: frame decodes past its declared {declared} bytes")
+                if outb.pos:
+                    sink(view[:outb.pos])
+                if code == 0:
+                    return sent
+    finally:
+        _zstd.ZSTD_freeDCtx(dctx)
 
 
 # ---------------------------------------------------------------------------
@@ -250,43 +319,69 @@ def brotli_compress(data, quality: int, window_log: int) -> bytes:
             return ctypes.string_at(out, out_size.value)
 
 
-def brotli_decompress(data, cap: int = sys.maxsize) -> bytearray:
-    """Decode one brotli stream to at most cap bytes. The output buffer starts
-    at sixteen times the stream length plus 1 KiB (text at quality 6 expands
-    about 7-8x, so it seldom grows) and doubles while the decoder asks for
-    more room, so its size follows the real output, not the cap."""
+def brotli_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
+    """Decode one brotli stream to at most cap bytes. Without a sink, the
+    output buffer starts at sixteen times the stream length plus 1 KiB (text
+    at quality 6 expands about 7-8x, so it seldom grows) and doubles while the
+    decoder asks for more room, so its size follows the real output, not the
+    cap. With a sink, a buffer of SINK_CHUNK bytes is sent to sink each time
+    the decoder fills it, and the count of bytes sent is returned."""
     handle = _brdec.BrotliDecoderCreateInstance(None, None, None)
     if not handle:
         raise CodecFailure("brotli: cannot allocate decoder")
     try:
         with _Pinned(data) as (src, n):
             next_in, avail_in = c_void_p(src), c_size_t(n)
+            if sink is not None:
+                return _brotli_stream(handle, next_in, avail_in, cap, sink)
             out = _new_bytearray(None, min(16 * n + 1024, cap))
             written = 0
             while True:
                 with _Pinned(out) as (dst, size):
-                    next_out, avail_out = c_void_p(dst + written), c_size_t(size - written)
-                    res = _brdec.BrotliDecoderDecompressStream(
-                        handle,
-                        byref(avail_in), byref(next_in),
-                        byref(avail_out), byref(next_out),
-                        None,
+                    more, done = _brotli_step(
+                        handle, next_in, avail_in, dst + written, size - written
                     )
-                written = size - avail_out.value
-                if res == _BROTLI_RESULT_SUCCESS:
-                    if avail_in.value:
-                        raise CorruptStream("brotli: trailing bytes after stream end")
+                written += more
+                if done:
                     del out[written:]
                     return out
-                if res == _BROTLI_RESULT_NEEDS_MORE_INPUT:
-                    raise CorruptStream("brotli: truncated stream")
-                if res != _BROTLI_RESULT_NEEDS_MORE_OUTPUT:
-                    raise CorruptStream("brotli: invalid stream")
                 if size >= cap:
                     raise CorruptStream(f"brotli: stream decodes to more than the {cap} bytes allowed")
                 _resize(out, min(2 * size, cap))
     finally:
         _brdec.BrotliDecoderDestroyInstance(handle)
+
+
+def _brotli_stream(handle, next_in, avail_in, cap: int, sink) -> int:
+    out = bytearray(min(SINK_CHUNK, cap))
+    sent = 0
+    with _Pinned(out) as (dst, size), memoryview(out) as view:
+        while True:
+            written, done = _brotli_step(handle, next_in, avail_in, dst, min(size, cap - sent))
+            sent += written
+            if written:
+                sink(view[:written])
+            if done:
+                return sent
+            if sent >= cap:
+                raise CorruptStream(f"brotli: stream decodes to more than the {cap} bytes allowed")
+
+
+def _brotli_step(handle, next_in, avail_in, dst: int, room: int) -> tuple[int, bool]:
+    """Decode into the room bytes at dst: the bytes written and whether the
+    stream ended. Returns only when the decoder filled the room or ended."""
+    next_out, avail_out = c_void_p(dst), c_size_t(room)
+    res = _brdec.BrotliDecoderDecompressStream(
+        handle, byref(avail_in), byref(next_in), byref(avail_out), byref(next_out), None,
+    )
+    if res == _BROTLI_RESULT_SUCCESS:
+        if avail_in.value:
+            raise CorruptStream("brotli: trailing bytes after stream end")
+    elif res == _BROTLI_RESULT_NEEDS_MORE_INPUT:
+        raise CorruptStream("brotli: truncated stream")
+    elif res != _BROTLI_RESULT_NEEDS_MORE_OUTPUT:
+        raise CorruptStream("brotli: invalid stream")
+    return room - avail_out.value, res == _BROTLI_RESULT_SUCCESS
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +449,13 @@ else:
     _deflate.libdeflate_crc32.argtypes = [c_uint32, c_void_p, c_size_t]
 
 
-def _libdeflate_crc32(data) -> int:
+def _libdeflate_crc32(data, value: int = 0) -> int:
     with _Pinned(data) as (buf, n):
-        return _deflate.libdeflate_crc32(0, buf, n)
+        return _deflate.libdeflate_crc32(value, buf, n)
 
 
-# crc32(data): the CRC-32 of a bytes-like object, the value zlib.crc32(data) returns.
+# crc32(data, value=0): the CRC-32 of a bytes-like object, continued from a
+# running value, as zlib.crc32(data, value) returns it.
 crc32 = zlib.crc32 if _deflate is None else _libdeflate_crc32
 
 

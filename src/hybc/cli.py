@@ -11,6 +11,8 @@ modules (and json, csv and statistics) with it.
 """
 from __future__ import annotations
 
+import shutil
+import tempfile
 from pathlib import Path
 
 import click
@@ -111,12 +113,21 @@ def compress(input_path: str, output_path: str, pipeline_name: str) -> None:
 def decompress(input_path: str, output_path: str) -> None:
     """Restore the original bytes from a container; the header alone names
     the codec chain, so no pipeline argument is needed."""
+    # The text is staged in an unnamed file beside OUTPUT, so only the codec's
+    # window is held in memory, and copied into OUTPUT once it is verified, so
+    # a rejected container leaves OUTPUT as it was.
     try:
-        data = decompress_pipeline(_read_bytes(input_path))
-    except HybcError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-    _write_bytes(output_path, data)
-    click.echo(f"restored {len(data)} bytes (integrity verified)")
+        with tempfile.TemporaryFile(dir=Path(output_path).parent) as staged:
+            try:
+                restored = decompress_pipeline(_read_bytes(input_path), staged.write)
+            except HybcError as exc:
+                raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+            staged.seek(0)
+            with open(output_path, "wb") as out:
+                shutil.copyfileobj(staged, out)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
+    click.echo(f"restored {restored} bytes (integrity verified)")
 
 
 if __name__ == "__main__":

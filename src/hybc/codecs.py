@@ -117,38 +117,56 @@ def stream_bound(codec: CodecId, n: int) -> int:
     return _LZ4_PREFIX.size + _native.lz4_bound(n)
 
 
-def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize) -> bytearray:
+def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize, sink=None) -> bytearray | int:
     """Invert compress_one into one bytearray of at most cap bytes; raises
     CorruptStream when the input is not a stream of the claimed codec or
-    decodes to more than cap bytes. The stream may be any bytes-like object."""
+    decodes to more than cap bytes. The stream may be any bytes-like object.
+
+    With a sink, the output goes to sink(chunk) instead, in chunks of at most
+    _native.SINK_CHUNK bytes (LZ4HC, one raw block, sends its whole output
+    once), and the count of bytes sent is returned. No chunk takes the count
+    past cap."""
     codec = CodecId(codec)
     if codec is CodecId.LZMA:
         return _stdlib_decompress(
-            lzma.LZMADecompressor(format=lzma.FORMAT_XZ), stream, cap, "lzma"
+            lzma.LZMADecompressor(format=lzma.FORMAT_XZ), stream, cap, "lzma", sink
         )
     if codec is CodecId.ZSTD:
-        return _native.zstd_decompress(stream, cap)
+        return _native.zstd_decompress(stream, cap, sink)
     if codec is CodecId.BROTLI:
-        return _native.brotli_decompress(stream, cap)
+        return _native.brotli_decompress(stream, cap, sink)
     if codec is CodecId.BZIP2:
-        return _stdlib_decompress(bz2.BZ2Decompressor(), stream, cap, "bzip2")
-    return _lz4_decompress(stream, cap)
+        return _stdlib_decompress(bz2.BZ2Decompressor(), stream, cap, "bzip2", sink)
+    out = _lz4_decompress(stream, cap)
+    if sink is None:
+        return out
+    sink(out)
+    return len(out)
 
 
-def _stdlib_decompress(decomp, stream, cap: int, name: str) -> bytearray:
-    try:  # steps of at most 1 MiB, to at most cap + 1 bytes: the extra byte shows the excess
-        out = bytearray(decomp.decompress(stream, min(cap + 1, 1 << 20)))
-        while not (decomp.eof or decomp.needs_input or len(out) > cap):
-            out += decomp.decompress(b"", min(cap + 1 - len(out), 1 << 20))
-    except Exception as exc:
-        raise CorruptStream(f"{name}: {exc}") from exc
-    if len(out) > cap:
-        raise CorruptStream(f"{name}: stream decodes to more than the {cap} bytes allowed")
+def _stdlib_decompress(decomp, stream, cap: int, name: str, sink) -> bytearray | int:
+    # Steps of at most 1 MiB into one bytearray, or of SINK_CHUNK to a sink,
+    # each asking for at most cap + 1 bytes in all: the extra byte shows the excess.
+    out = bytearray()
+    write, step = (out.extend, 1 << 20) if sink is None else (sink, _native.SINK_CHUNK)
+    sent = 0
+    while True:
+        try:
+            chunk = decomp.decompress(stream, min(cap + 1 - sent, step))
+        except Exception as exc:
+            raise CorruptStream(f"{name}: {exc}") from exc
+        stream = b""
+        sent += len(chunk)
+        if sent > cap:
+            raise CorruptStream(f"{name}: stream decodes to more than the {cap} bytes allowed")
+        write(chunk)
+        if decomp.eof or decomp.needs_input:
+            break
     if not decomp.eof:
         raise CorruptStream(f"{name}: truncated stream")
     if decomp.unused_data:
         raise CorruptStream(f"{name}: trailing bytes after stream end")
-    return out
+    return out if sink is None else sent
 
 
 def _lz4_decompress(stream, cap: int) -> bytearray:

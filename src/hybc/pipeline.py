@@ -148,14 +148,24 @@ def frame(spec: PipelineSpec, data: bytes, payload) -> bytes:
     return serialize_header(header) + payload
 
 
-def decompress_pipeline(container) -> bytearray:
+def decompress_pipeline(container, sink=None) -> bytearray | int:
     """Invert the recorded chain (second stage first) and verify integrity.
 
     The header caps every stage before it allocates: the last stage may
     decode to at most original_len bytes, and the stream between two stages
-    to at most what the first codec writes for original_len bytes. Each stage
-    decodes into one buffer of its own; the payload is read in place, and a
-    hybrid's container is let go once its second stage has decoded it."""
+    to at most what the first codec writes for original_len bytes. The
+    payload is read in place, a hybrid's stream between its stages is one
+    buffer, and a hybrid's container is let go once its second stage has
+    decoded it.
+
+    Without a sink, the last stage decodes into one buffer, which is verified
+    and returned. With a sink, the last stage sends its output to sink(chunk)
+    in chunks of at most _native.SINK_CHUNK bytes (an LZ4HC last stage sends
+    its whole output once), never more than original_len bytes in all; the
+    length and CRC-32 are checked once the last chunk is sent, and the count
+    is returned. So the sink sees bytes before they are verified, and must
+    drop them if this call raises. Each chunk is valid only during the call
+    that passes it."""
     header = parse_header(container)
     payload = memoryview(container)[HEADER_LEN:]
     if header.second_codec is not None:
@@ -163,11 +173,24 @@ def decompress_pipeline(container) -> bytearray:
             header.second_codec, payload, stream_bound(header.first_codec, header.original_len)
         )
         del container
-    data = decompress_one(header.first_codec, payload, header.original_len)
-    if len(data) != header.original_len:
-        raise IntegrityMismatch(
-            f"decoded {len(data)} bytes, header says {header.original_len}"
-        )
-    if crc32(data) != header.original_crc32:
+    if sink is None:
+        data = decompress_one(header.first_codec, payload, header.original_len)
+        _verify(header, len(data), crc32(data))
+        return data
+    crc = 0
+
+    def tally(chunk) -> None:
+        nonlocal crc
+        crc = crc32(chunk, crc)
+        sink(chunk)
+
+    sent = decompress_one(header.first_codec, payload, header.original_len, tally)
+    _verify(header, sent, crc)
+    return sent
+
+
+def _verify(header: ContainerHeader, length: int, crc: int) -> None:
+    if length != header.original_len:
+        raise IntegrityMismatch(f"decoded {length} bytes, header says {header.original_len}")
+    if crc != header.original_crc32:
         raise IntegrityMismatch("CRC-32 of decoded payload does not match header")
-    return data

@@ -16,8 +16,8 @@ import hybc.cli as cli_mod
 import hybc.report as report_mod
 from hybc.bench import rank_by_dataset, run_bench, write_reports
 from hybc.cli import main
-from hybc.codecs import CodecId, compress_one
-from hybc.errors import CodecFailure
+from hybc.codecs import CodecId, compress_one, decompress_one
+from hybc.errors import CodecFailure, CorruptStream
 from hybc.metrics import DsBasis
 from hybc.pipeline import (
     HEADER_LEN, ContainerHeader, PipelineSpec, compress_pipeline, enumerate_pipelines,
@@ -531,29 +531,98 @@ def _crc_flipped(valid: bytes) -> bytes:
     return bytes(flipped)
 
 
+def _payload_flipped(valid: bytes) -> bytes:
+    """valid, a Zstd container, with one payload bit flipped where the frame
+    still decodes, to other bytes: only the CRC-32 can catch it."""
+    text = decompress_one(CodecId.ZSTD, valid[HEADER_LEN:])
+    for i in range(len(valid) - 1, HEADER_LEN, -1):
+        flipped = bytearray(valid)
+        flipped[i] ^= 0x01
+        try:
+            if decompress_one(CodecId.ZSTD, flipped[HEADER_LEN:]) != text:
+                return bytes(flipped)
+        except CorruptStream:
+            pass
+    raise AssertionError("no payload flip decodes to other bytes")
+
+
+_ZSTD = PipelineSpec(CodecId.ZSTD)
+
+
 @pytest.mark.parametrize(
-    "hostile, error",
+    "spec, hostile, error",
     [
-        (_bomb, "CorruptStream"),
-        (lambda valid: valid[:25], "CorruptStream"),
-        (lambda valid: b"XXXX" + valid[4:], "BadMagic"),
-        (_crc_flipped, "IntegrityMismatch"),
+        (_ZSTD, _bomb, "CorruptStream"),
+        (_ZSTD, lambda valid: valid[:25], "CorruptStream"),
+        (_ZSTD, lambda valid: b"XXXX" + valid[4:], "BadMagic"),
+        (_ZSTD, _crc_flipped, "IntegrityMismatch"),
+        (PipelineSpec(CodecId.BROTLI, CodecId.LZ4HC), _crc_flipped, "IntegrityMismatch"),
+        (_ZSTD, _payload_flipped, "IntegrityMismatch"),
     ],
-    ids=["bomb", "truncated", "bad-magic", "crc-flip"],
+    ids=["bomb", "truncated", "bad-magic", "crc-flip", "brotli-lz4hc-crc-flip",
+         "zstd-payload-flip"],
 )
 def test_cli_decompress_failure_leaves_existing_output(runner, tmp_path, tiny_text,
-                                                        hostile, error):
+                                                        spec, hostile, error):
     """A rejected container never writes OUTPUT: the file already there keeps
-    its bytes, because the write comes after the decode is verified."""
+    its bytes, because the text is staged beside it and copied in only once
+    verified; the staged file leaves no name behind, on failure or success."""
+    valid = compress_pipeline(spec, tiny_text)
     container = tmp_path / "in.hybc"
-    container.write_bytes(hostile(compress_pipeline(PipelineSpec(CodecId.ZSTD), tiny_text)))
-    output = tmp_path / "o"
+    container.write_bytes(hostile(valid))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    output = out_dir / "o"
     output.write_bytes(b"keep")
     result = runner.invoke(main, ["decompress", str(container), str(output)])
     assert result.exit_code == 1
     assert len(result.output.splitlines()) == 1
     assert error in result.output
     assert output.read_bytes() == b"keep"
+    assert list(out_dir.iterdir()) == [output]
+    container.write_bytes(valid)
+    result = runner.invoke(main, ["decompress", str(container), str(output)])
+    assert result.exit_code == 0, result.output
+    assert output.read_bytes() == tiny_text
+    assert list(out_dir.iterdir()) == [output]
+
+
+def test_cli_decompress_closes_what_it_opens(tmp_path, tiny_text):
+    """Under -X dev with ResourceWarning an error, a verified decode exits 0
+    and a CRC-flipped one exits 1, and neither leaves a warning: the staged
+    file and the decoders are closed on both paths."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    valid = compress_pipeline(PipelineSpec(CodecId.ZSTD), tiny_text)
+    output = tmp_path / "o"
+    codes = []
+    for blob in (valid, _crc_flipped(valid)):
+        container = tmp_path / "in.hybc"
+        container.write_bytes(blob)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "hybc", "decompress", str(container), str(output)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert "Warning" not in proc.stderr, proc.stderr
+        codes.append(proc.returncode)
+    assert codes == [0, 1]
+    assert output.read_bytes() == tiny_text
+
+
+def test_cli_decompress_output_directory_must_take_a_new_file(monkeypatch, runner, tmp_path,
+                                                           tiny_text):
+    # the text is staged in OUTPUT's directory, so a directory that takes no
+    # new file fails the command before anything is decoded
+    decodes = []
+    monkeypatch.setattr(cli_mod, "decompress_pipeline", lambda *args: decodes.append(args))
+    container = tmp_path / "in.hybc"
+    container.write_bytes(compress_pipeline(PipelineSpec(CodecId.ZSTD), tiny_text))
+    output = tmp_path / "missing" / "o"
+    result = runner.invoke(main, ["decompress", str(container), str(output)])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: cannot write {output}: ")
+    assert len(result.output.splitlines()) == 1
+    assert decodes == []
 
 
 def test_cli_bench_writes_reports(runner, three_corpora, tmp_path):

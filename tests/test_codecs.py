@@ -221,6 +221,35 @@ def test_zstd_short_decode_rejected(monkeypatch):
         decompress_one(CodecId.ZSTD, frame)
 
 
+def test_streamed_zstd_holds_a_frame_to_its_declared_size(small_corpus):
+    # a 3 MiB frame (window 2 MiB, so not single-segment) whose header says
+    # 2.5 MiB: libzstd checks the size only at the last block, so the decoder
+    # stops the output at the declared size before it reaches the sink; a
+    # header saying 3.5 MiB fails at that last block
+    frame = compress_one(CodecId.ZSTD, (small_corpus * 25)[: 3 << 20])
+    assert frame[4] == 0x80  # 4-byte content size after the window byte
+
+    def declaring(size: int) -> bytes:
+        return frame[:6] + struct.pack("<I", size) + frame[10:]
+
+    sent = []
+    with pytest.raises(CorruptStream, match=f"past its declared {5 << 19} bytes"):
+        decompress_one(CodecId.ZSTD, declaring(5 << 19), sink=lambda chunk: sent.append(len(chunk)))
+    assert sum(sent) <= 5 << 19
+    with pytest.raises(CorruptStream, match="^zstd: Data corruption detected$"):
+        decompress_one(CodecId.ZSTD, declaring(7 << 19), sink=lambda chunk: None)
+    for size in (5 << 19, 7 << 19):
+        with pytest.raises(CorruptStream):
+            decompress_one(CodecId.ZSTD, declaring(size))
+
+
+def test_streamed_zstd_decoder_allocation_failure(monkeypatch):
+    frame = compress_one(CodecId.ZSTD, b"data")
+    monkeypatch.setattr(_native._zstd, "ZSTD_createDCtx", lambda: None)
+    with pytest.raises(CodecFailure, match="^zstd: cannot allocate decoder$"):
+        decompress_one(CodecId.ZSTD, frame, sink=lambda chunk: None)
+
+
 def test_stdlib_encoder_fault_becomes_codec_failure(monkeypatch):
     def fail(*args, **kwargs):
         raise lzma.LZMAError("out of memory")
@@ -341,6 +370,21 @@ _ODD = random.Random(5).randbytes(65_537)
 ])
 def test_crc32_equals_zlib(data):
     assert _native.crc32(data) == zlib.crc32(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.binary(max_size=4096), cuts=st.lists(st.integers(0, 4096), max_size=8))
+@pytest.mark.parametrize("crc32", [
+    pytest.param(_native.crc32, id="native"),  # libdeflate's, where it loads
+    pytest.param(zlib.crc32, id="zlib"),
+])
+def test_crc32_continues_a_running_value(crc32, data, cuts):
+    # repeated cuts and cuts at either end give empty chunks
+    bounds = sorted(min(cut, len(data)) for cut in cuts)
+    value = 0
+    for start, end in zip([0, *bounds], [*bounds, len(data)]):
+        value = crc32(memoryview(data)[start:end], value)
+    assert value == zlib.crc32(data)
 
 
 def test_crc32_equals_zlib_on_large_tier():

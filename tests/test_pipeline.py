@@ -7,9 +7,10 @@ import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybc import _native
 from hybc.codecs import CodecId, codec_params, compress_one, library_versions, stream_bound
 from hybc.errors import (
     BadMagic,
@@ -330,6 +331,23 @@ def test_damaged_container_raises_only_hybc_errors(blob):
         pass
 
 
+@settings(max_examples=300, deadline=None)
+@given(blob=_damaged_containers())
+def test_damaged_container_streamed_raises_only_hybc_errors(blob):
+    # the same damage met with a sink: only HybcError escapes, the sink never
+    # receives more than the header records, and a decode that succeeds sends
+    # what the in-memory decode returns
+    chunks, sink = _collecting_sink()
+    try:
+        sent = decompress_pipeline(blob, sink)
+    except HybcError:
+        sent = None
+    if chunks:
+        assert sum(map(len, chunks)) <= parse_header(blob).original_len
+    if sent is not None:
+        assert b"".join(chunks) == decompress_pipeline(blob)
+
+
 _SINGLES = [PipelineSpec(c) for c in CodecId]
 
 
@@ -405,6 +423,76 @@ def test_stepwise_decode_holds_output_once(codec, small_corpus):
     assert peak - baseline < 1.5 * len(text), f"peak {peak} B, baseline {baseline} B"
 
 
+def _collecting_sink():
+    """(chunks, sink): a sink that appends a copy of each chunk to chunks,
+    since a chunk is valid only during the call that passes it."""
+    chunks: list[bytes] = []
+    return chunks, lambda chunk: chunks.append(bytes(chunk))
+
+
+# The last stages that decode in pieces; LZ4HC sends its one block whole.
+_STREAMED = (CodecId.ZSTD, CodecId.BROTLI, CodecId.LZMA, CodecId.BZIP2)
+
+
+@settings(max_examples=6, deadline=None)
+@given(text=st.one_of(
+    st.binary(max_size=3),
+    st.builds(lambda piece, reps: piece * reps, st.binary(min_size=1, max_size=40),
+              st.integers(1, 4000)),
+))
+@example(text=b"")
+@example(text=b"\xa5")
+@example(text=random.Random(11).randbytes(600) * 300)  # 180,000 bytes: two chunks
+def test_streamed_decode_agrees_with_in_memory(text):
+    for spec in enumerate_pipelines():
+        container = compress_pipeline(spec, text)
+        chunks, sink = _collecting_sink()
+        sent = decompress_pipeline(container, sink)
+        assert sent == len(text), spec.display_name
+        assert b"".join(chunks) == decompress_pipeline(container) == text, spec.display_name
+        if spec.first in _STREAMED:
+            assert all(len(c) <= _native.SINK_CHUNK for c in chunks), spec.display_name
+
+
+@pytest.mark.parametrize("recorded", [10, 200_000])  # less and more than one chunk
+@pytest.mark.parametrize("spec", _SINGLES, ids=lambda s: s.display_name)
+def test_streamed_decode_never_sends_past_the_header_length(spec, recorded):
+    # the understated-header bomb: whatever the codec, the sink receives at
+    # most the bytes the header records before the decode is refused
+    bomb = _relabelled(compress_pipeline(spec, bytes(8 << 20)), recorded,
+                       zlib.crc32(bytes(recorded)))
+    chunks, sink = _collecting_sink()
+    with pytest.raises(HybcError):
+        decompress_pipeline(bomb, sink)
+    assert sum(map(len, chunks)) <= recorded
+
+
+def test_streamed_zstd_decode_holds_a_window_not_the_text(small_corpus):
+    # the in-memory decode holds the whole 8 MiB text; the streamed one only
+    # its chunk buffer in Python-tracked memory (libzstd's window is its own)
+    text = (small_corpus * ((8 << 20) // len(small_corpus) + 1))[: 8 << 20]
+    container = compress_pipeline(PipelineSpec(CodecId.ZSTD), text)
+    crc = 0
+
+    def running_crc(chunk):
+        nonlocal crc
+        crc = zlib.crc32(chunk, crc)
+
+    tracemalloc.start()
+    try:
+        sent = decompress_pipeline(container, running_crc)
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        restored = decompress_pipeline(container)
+        in_memory = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sent == len(text) and crc == zlib.crc32(text)
+    assert restored == text
+    assert streamed < 1 << 20, f"streamed peak {streamed} B"
+    assert in_memory >= 8 << 20, f"in-memory peak {in_memory} B"
+
+
 class _Container(bytearray):
     """A container that can be weakly referenced, which bytes cannot."""
 
@@ -431,10 +519,10 @@ def _first_decode_probe(monkeypatch, spec, data):
         ref = weakref.ref(made)
         return made
 
-    def probing(codec, stream, cap):
+    def probing(codec, stream, cap, *sink):
         if codec == spec.first:
             alive.append(ref() is not None)
-        return real(codec, stream, cap)
+        return real(codec, stream, cap, *sink)
 
     monkeypatch.setattr(pipeline_mod, "decompress_one", probing)
     return make, alive
