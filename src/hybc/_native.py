@@ -15,28 +15,34 @@ A decoder takes an optional cap, the most bytes its output may hold. Where a
 stream declares its decoded size (the zstd frame header, the LZ4HC length
 prefix), it is checked against the largest expansion the format allows and
 against the cap before anything is allocated, so a corrupted size claim never
-triggers a huge allocation. The Zstd and Brotli decoders run in one of two
-modes, which share these checks:
+triggers a huge allocation. The Zstd and Brotli decoders also take an
+optional sink. Without one, a decoder writes into one bytearray and returns
+it; with one, it calls sink(chunk) each time the library fills its buffer of
+at most SINK_CHUNK bytes and returns the number of bytes sent. A chunk is a
+view of that buffer, valid only during the call. Each codec has one decode
+loop, in which the sink decides only where the output goes:
 
-- Without a sink, a decoder writes into one bytearray and returns it. The
-  Zstd and LZ4 decoders know their exact output size and zero-fill it, so a
-  rejected stream touches the same memory wherever its fault lies. Brotli
-  declares no size, so its buffer starts at sixteen times the stream length
-  plus 1 KiB and grows geometrically with its real output, up to the cap,
-  without zero-filling.
-- With a sink, a decoder holds one buffer of at most SINK_CHUNK bytes, calls
-  sink(chunk) each time the library fills it and returns the number of bytes
-  sent. A chunk is a view of that buffer, valid only during the call. Zstd
-  decodes with a ZSTD_DCtx. Its window buffer is bounded by the checked
-  content size, not by the window the frame claims: libzstd sizes it to the
-  smaller of the two (ZSTD_decodingBufferSize_min) and adds at most one
-  128 KiB block of input, so it stays within the one-shot decoder's output
-  buffer plus 128 KiB. A frame whose window is over libzstd's default
-  ZSTD_d_windowLogMax (2^27; hybc writes 2^21) is refused. The decoder never
-  sends more than the cap, or than a Zstd frame declares, and checks the
-  total at the end, so the sink sees bytes before they are known to be right.
+- Zstd runs one ZSTD_DCtx loop. Into memory, its buffer is the whole
+  zero-filled declared size, so a rejected stream touches the same memory
+  wherever its fault lies, and libzstd decodes a frame that fits it in one
+  call. To a sink, its buffer is one block, sent and then refilled. The
+  window buffer libzstd then holds is bounded by the checked content size,
+  not by the window the frame claims: libzstd sizes it to the smaller of the
+  two (ZSTD_decodingBufferSize_min) and adds at most one 128 KiB block of
+  input, so it stays within the in-memory output buffer plus 128 KiB. A
+  frame whose window is over libzstd's default ZSTD_d_windowLogMax (2^27;
+  hybc writes 2^21) is refused there.
+- Brotli declares no size, so its one loop grows its buffer into memory and
+  flushes it to a sink. Into memory, the buffer starts at sixteen times the
+  stream length plus 1 KiB and grows geometrically with the real output, up
+  to the cap, without zero-filling. The decoder never gets room past the cap.
+- LZ4 decodes its one raw block whole, into a zero-filled buffer of exactly
+  the declared size.
 
-Either way a decoder returns or sends only bytes the library reports it wrote.
+A decoder never sends more than the cap, or than a Zstd frame declares, and
+checks the total at the end, so a sink sees bytes before they are known to
+be right. Either way a decoder returns or sends only bytes the library
+reports it wrote.
 
 crc32 is libdeflate's libdeflate_crc32, which folds with carry-less multiplies,
 or zlib.crc32 where no libdeflate loads; both compute the same CRC-32 and
@@ -153,8 +159,6 @@ _zstd.ZSTD_getFrameContentSize.restype = c_ulonglong
 _zstd.ZSTD_getFrameContentSize.argtypes = [c_void_p, c_size_t]
 _zstd.ZSTD_findFrameCompressedSize.restype = c_size_t
 _zstd.ZSTD_findFrameCompressedSize.argtypes = [c_void_p, c_size_t]
-_zstd.ZSTD_decompress.restype = c_size_t
-_zstd.ZSTD_decompress.argtypes = [c_void_p, c_size_t, c_void_p, c_size_t]
 _zstd.ZSTD_DStreamOutSize.restype = c_size_t
 _zstd.ZSTD_DStreamOutSize.argtypes = []
 _zstd.ZSTD_createDCtx.restype = c_void_p
@@ -175,8 +179,8 @@ _zstd.ZSTD_decompressStream.argtypes = [c_void_p, POINTER(_ZstdBuffer), POINTER(
 # ZSTD_CONTENTSIZE_ERROR; ZSTD_CONTENTSIZE_UNKNOWN is the one value above it.
 _ZSTD_CONTENTSIZE_ERROR = 2**64 - 2
 
-# The largest chunk a decoder sends to a sink: ZSTD_DStreamOutSize(), one
-# zstd block (128 KiB).
+# The largest chunk a decoder sends to a sink, and the step of the LZMA and
+# Bzip2 decoders: ZSTD_DStreamOutSize(), one zstd block (128 KiB).
 SINK_CHUNK = _zstd.ZSTD_DStreamOutSize()
 
 
@@ -222,45 +226,34 @@ def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
             raise CorruptStream(f"zstd: frame declares {declared} bytes, more than the {cap} allowed")
         if _zstd.ZSTD_findFrameCompressedSize(src, n) != n:
             raise CorruptStream("zstd: truncated frame or trailing bytes")
-        if sink is None:
-            out = bytearray(declared)
-            with _Pinned(out) as (dst, _):
-                code = _zstd.ZSTD_decompress(dst, declared, src, n)
-            if _zstd.ZSTD_isError(code):
-                raise CorruptStream(f"zstd: {_zstd_error(code)}")
-        else:
-            code = _zstd_stream(src, n, declared, sink)
-    if code != declared:
-        raise CorruptStream(f"zstd: frame decoded to {code} bytes, declared {declared}")
-    return out if sink is None else code
-
-
-def _zstd_stream(src: int, n: int, declared: int, sink) -> int:
-    """Decode the checked frame of n bytes at src into sink; the bytes sent."""
-    dctx = _zstd.ZSTD_createDCtx()
-    if not dctx:
-        raise CodecFailure("zstd: cannot allocate decoder")
-    try:
-        out = bytearray(min(SINK_CHUNK, declared))
-        with _Pinned(out) as (dst, size), memoryview(out) as view:
-            inb, outb = _ZstdBuffer(src, n, 0), _ZstdBuffer(dst, size, 0)
-            sent = 0
-            # libzstd reports a call sequence that stops making progress as
-            # an error, so the loop ends without a guard of its own.
-            while True:
-                outb.pos = 0
-                code = _zstd.ZSTD_decompressStream(dctx, byref(outb), byref(inb))
-                if _zstd.ZSTD_isError(code):
-                    raise CorruptStream(f"zstd: {_zstd_error(code)}")
-                sent += outb.pos
-                if sent > declared:
-                    raise CorruptStream(f"zstd: frame decodes past its declared {declared} bytes")
-                if outb.pos:
-                    sink(view[:outb.pos])
-                if code == 0:
-                    return sent
-    finally:
-        _zstd.ZSTD_freeDCtx(dctx)
+        dctx = _zstd.ZSTD_createDCtx()
+        if not dctx:
+            raise CodecFailure("zstd: cannot allocate decoder")
+        try:
+            out = bytearray(declared if sink is None else min(SINK_CHUNK, declared))
+            with _Pinned(out) as (dst, size), memoryview(out) as view:
+                inb, outb = _ZstdBuffer(src, n, 0), _ZstdBuffer(dst, size, 0)
+                sent = 0
+                # libzstd reports a call sequence that stops making progress as
+                # an error, so the loop ends without a guard of its own.
+                while True:
+                    code = _zstd.ZSTD_decompressStream(dctx, byref(outb), byref(inb))
+                    if _zstd.ZSTD_isError(code):
+                        raise CorruptStream(f"zstd: {_zstd_error(code)}")
+                    if sink is not None and outb.pos:
+                        sent += outb.pos
+                        if sent > declared:
+                            raise CorruptStream(f"zstd: frame decodes past its declared {declared} bytes")
+                        sink(view[:outb.pos])
+                        outb.pos = 0
+                    if code == 0:
+                        break
+        finally:
+            _zstd.ZSTD_freeDCtx(dctx)
+    got = outb.pos if sink is None else sent
+    if got != declared:
+        raise CorruptStream(f"zstd: frame decoded to {got} bytes, declared {declared}")
+    return out if sink is None else got
 
 
 # ---------------------------------------------------------------------------
@@ -332,56 +325,37 @@ def brotli_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | in
     try:
         with _Pinned(data) as (src, n):
             next_in, avail_in = c_void_p(src), c_size_t(n)
-            if sink is not None:
-                return _brotli_stream(handle, next_in, avail_in, cap, sink)
-            out = _new_bytearray(None, min(16 * n + 1024, cap))
-            written = 0
+            out = _new_bytearray(None, min(16 * n + 1024 if sink is None else SINK_CHUNK, cap))
+            written = sent = 0  # bytes in out, and bytes already sent from it
             while True:
                 with _Pinned(out) as (dst, size):
-                    more, done = _brotli_step(
-                        handle, next_in, avail_in, dst + written, size - written
+                    room = min(size, cap - sent) - written
+                    next_out, avail_out = c_void_p(dst + written), c_size_t(room)
+                    res = _brdec.BrotliDecoderDecompressStream(
+                        handle, byref(avail_in), byref(next_in), byref(avail_out), byref(next_out), None,
                     )
-                written += more
-                if done:
+                if res == _BROTLI_RESULT_SUCCESS:
+                    if avail_in.value:
+                        raise CorruptStream("brotli: trailing bytes after stream end")
+                elif res == _BROTLI_RESULT_NEEDS_MORE_INPUT:
+                    raise CorruptStream("brotli: truncated stream")
+                elif res != _BROTLI_RESULT_NEEDS_MORE_OUTPUT:
+                    raise CorruptStream("brotli: invalid stream")
+                written += room - avail_out.value
+                if sink is not None and written:
+                    sink(memoryview(out)[:written])
+                    sent, written = sent + written, 0
+                if res == _BROTLI_RESULT_SUCCESS:
+                    if sink is not None:
+                        return sent
                     del out[written:]
                     return out
-                if size >= cap:
+                if sent + written >= cap:
                     raise CorruptStream(f"brotli: stream decodes to more than the {cap} bytes allowed")
-                _resize(out, min(2 * size, cap))
+                if sink is None:
+                    _resize(out, min(2 * size, cap))
     finally:
         _brdec.BrotliDecoderDestroyInstance(handle)
-
-
-def _brotli_stream(handle, next_in, avail_in, cap: int, sink) -> int:
-    out = bytearray(min(SINK_CHUNK, cap))
-    sent = 0
-    with _Pinned(out) as (dst, size), memoryview(out) as view:
-        while True:
-            written, done = _brotli_step(handle, next_in, avail_in, dst, min(size, cap - sent))
-            sent += written
-            if written:
-                sink(view[:written])
-            if done:
-                return sent
-            if sent >= cap:
-                raise CorruptStream(f"brotli: stream decodes to more than the {cap} bytes allowed")
-
-
-def _brotli_step(handle, next_in, avail_in, dst: int, room: int) -> tuple[int, bool]:
-    """Decode into the room bytes at dst: the bytes written and whether the
-    stream ended. Returns only when the decoder filled the room or ended."""
-    next_out, avail_out = c_void_p(dst), c_size_t(room)
-    res = _brdec.BrotliDecoderDecompressStream(
-        handle, byref(avail_in), byref(next_in), byref(avail_out), byref(next_out), None,
-    )
-    if res == _BROTLI_RESULT_SUCCESS:
-        if avail_in.value:
-            raise CorruptStream("brotli: trailing bytes after stream end")
-    elif res == _BROTLI_RESULT_NEEDS_MORE_INPUT:
-        raise CorruptStream("brotli: truncated stream")
-    elif res != _BROTLI_RESULT_NEEDS_MORE_OUTPUT:
-        raise CorruptStream("brotli: invalid stream")
-    return room - avail_out.value, res == _BROTLI_RESULT_SUCCESS
 
 
 # ---------------------------------------------------------------------------

@@ -145,14 +145,14 @@ def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize, sink=None) ->
 
 
 def _stdlib_decompress(decomp, stream, cap: int, name: str, sink) -> bytearray | int:
-    # Steps of at most 1 MiB into one bytearray, or of SINK_CHUNK to a sink,
-    # each asking for at most cap + 1 bytes in all: the extra byte shows the excess.
+    # Steps of at most SINK_CHUNK bytes, into one bytearray or to a sink, each
+    # asking for at most cap + 1 bytes in all: the extra byte shows the excess.
     out = bytearray()
-    write, step = (out.extend, 1 << 20) if sink is None else (sink, _native.SINK_CHUNK)
+    write = out.extend if sink is None else sink
     sent = 0
     while True:
         try:
-            chunk = decomp.decompress(stream, min(cap + 1 - sent, step))
+            chunk = decomp.decompress(stream, min(cap + 1 - sent, _native.SINK_CHUNK))
         except Exception as exc:
             raise CorruptStream(f"{name}: {exc}") from exc
         stream = b""

@@ -81,9 +81,10 @@ def measure(
     """Time compress/decompress over in-memory buffers.
 
     The unit timed is a stage: the first codec on the data, timed as
-    compress_pipeline and as the decompress_pipeline call `hybc decompress`
-    makes on its one-codec container (framing included), then the second
-    codec, if any, on the first one's output. Each stage runs one untimed
+    compress_pipeline and as decompress_pipeline into memory on its
+    one-codec container (framing included), then the second codec, if any,
+    on the first one's output. `hybc decompress` makes that call with a sink,
+    which runs the same decoder per codec. Each stage runs one untimed
     warm-up, then `repetitions` rounds reading `clock` 4 times each, with the
     cyclic garbage collector off as in timeit; each decode is checked against
     the stage's input. Chain sample i is the sum of its stages' samples i; the

@@ -214,11 +214,41 @@ def test_lz4_wrong_declared_length_rejected():
 
 def test_zstd_short_decode_rejected(monkeypatch):
     # a frame that writes fewer bytes than it declares must not return the
-    # unwritten tail of the output buffer
+    # unwritten tail of the output buffer, nor count it as sent
     frame = compress_one(CodecId.ZSTD, b"x" * 500)
-    monkeypatch.setattr(_native._zstd, "ZSTD_decompress", lambda dst, cap, src, n: cap - 1)
+
+    def short(dctx, output, source):
+        output._obj.pos = output._obj.size - 1  # one byte short, frame ended
+        return 0
+
+    monkeypatch.setattr(_native._zstd, "ZSTD_decompressStream", short)
     with pytest.raises(CorruptStream, match="decoded to 499 bytes, declared 500"):
         decompress_one(CodecId.ZSTD, frame)
+    with pytest.raises(CorruptStream, match="decoded to 499 bytes, declared 500"):
+        decompress_one(CodecId.ZSTD, frame, sink=lambda chunk: None)
+
+
+def test_in_memory_zstd_decode_is_single_pass(monkeypatch, small_corpus):
+    # into memory the output has room for the whole declared size, so libzstd
+    # decodes the multi-block frame in one call; to a sink, the 128 KiB
+    # output takes one call or more per block
+    text = (small_corpus * 25)[: 3 << 20]
+    frame = compress_one(CodecId.ZSTD, text)
+    calls = []
+    decode = _native._zstd.ZSTD_decompressStream
+
+    def counting(*args):
+        calls.append(1)
+        return decode(*args)
+
+    monkeypatch.setattr(_native._zstd, "ZSTD_decompressStream", counting)
+    assert decompress_one(CodecId.ZSTD, frame) == text
+    assert len(calls) == 1
+    calls.clear()
+    chunks = []
+    assert decompress_one(CodecId.ZSTD, frame, sink=lambda chunk: chunks.append(bytes(chunk))) == len(text)
+    assert b"".join(chunks) == text
+    assert len(calls) >= -(-len(text) // (128 << 10))
 
 
 def test_streamed_zstd_holds_a_frame_to_its_declared_size(small_corpus):
