@@ -6,10 +6,15 @@ searched for nowhere else; where none loads, the import raises CodecFailure
 
 Only the small surface this package needs is bound. Buffers are passed to
 the libraries in place, so inputs may be bytes, bytearray or a memoryview and
-are never copied. An encoder writes into an anonymous mapping of the compress
-bound, which the kernel backs only where the library writes, and copies out
-only the bytes it wrote; a bound is 0 where no stream of that input length
-can exist.
+are never copied. An encoder writes its stream at the position of a mapping
+the caller gives it (see mapping), which the kernel backs only where the
+library writes, and moves the position past the stream; called without one,
+it writes into a fresh mapping of the compress bound and copies out only the
+bytes it wrote. A bound is 0 where no stream of that input length can exist.
+ZSTD_compress and LZ4_compress_HC read their input whole. Brotli runs one
+BrotliEncoderCompressStream loop, which takes a bytes-like input as one piece
+and Pieces one at a time, with BrotliEncoderCompress's settings, so a text
+gives that function's stream however it is cut.
 
 A decoder takes an optional cap, the most bytes its output may hold. Where a
 stream declares its decoded size (the zstd frame header, the LZ4HC length
@@ -140,6 +145,35 @@ class _Pinned:
         _release_buffer(self._ref)
 
 
+class Pieces:
+    """A text as an encoder that takes pieces reads it: its length up front,
+    as len(), and an iterable of bytes-like pieces, read once."""
+
+    __slots__ = ("length", "pieces")
+
+    def __init__(self, length: int, pieces):
+        self.length, self.pieces = length, pieces
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def mapping(size: int) -> mmap.mmap:
+    """An anonymous mapping of size bytes for a stream to be written into at
+    its position; the kernel backs only the pages written."""
+    try:
+        return mmap.mmap(-1, size)
+    except (OSError, ValueError, OverflowError) as exc:
+        raise CodecFailure(f"cannot map {size} bytes for a stream: {exc}") from exc
+
+
+def encoded(size: int, fill) -> bytes:
+    """The bytes fill(out) writes into a fresh mapping of size bytes."""
+    with mapping(size) as out:
+        fill(out)
+        return out[:out.tell()]
+
+
 # ---------------------------------------------------------------------------
 # zstd
 
@@ -179,8 +213,9 @@ _zstd.ZSTD_decompressStream.argtypes = [c_void_p, POINTER(_ZstdBuffer), POINTER(
 # ZSTD_CONTENTSIZE_ERROR; ZSTD_CONTENTSIZE_UNKNOWN is the one value above it.
 _ZSTD_CONTENTSIZE_ERROR = 2**64 - 2
 
-# The largest chunk a decoder sends to a sink, and the step of the LZMA and
-# Bzip2 decoders: ZSTD_DStreamOutSize(), one zstd block (128 KiB).
+# The largest chunk a decoder sends to a sink, the step of the LZMA and Bzip2
+# decoders, and the piece in which a file is read for an encoder that takes
+# pieces: ZSTD_DStreamOutSize(), one zstd block (128 KiB).
 SINK_CHUNK = _zstd.ZSTD_DStreamOutSize()
 
 
@@ -200,14 +235,17 @@ def zstd_bound(n: int) -> int:
     return 0 if _zstd.ZSTD_isError(bound) else bound
 
 
-def zstd_compress(data, level: int) -> bytes:
-    with _Pinned(data) as (src, n):
-        bound = zstd_bound(n)
-        with mmap.mmap(-1, bound) as dst, _Pinned(dst) as (out, _):
-            code = _zstd.ZSTD_compress(out, bound, src, n, level)
-            if _zstd.ZSTD_isError(code):
-                raise CodecFailure(f"zstd compress: {_zstd_error(code)}")
-            return ctypes.string_at(out, code)
+def zstd_compress(data, level: int, out=None) -> bytes | None:
+    """One zstd frame of data, which ZSTD_compress reads whole: written at
+    out's position, which moves past it, or without out returned as bytes."""
+    if out is None:
+        return encoded(zstd_bound(len(data)), lambda out: zstd_compress(data, level, out))
+    with _Pinned(data) as (src, n), _Pinned(out) as (dst, size):
+        start = out.tell()
+        code = _zstd.ZSTD_compress(dst + start, size - start, src, n, level)
+    if _zstd.ZSTD_isError(code):
+        raise CodecFailure(f"zstd compress: {_zstd_error(code)}")
+    out.seek(start + code)
 
 
 def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
@@ -263,6 +301,12 @@ _brenc = _load("libbrotlienc.so.1", "libbrotlienc.so", "libbrotlienc.dylib")
 _brdec = _load("libbrotlidec.so.1", "libbrotlidec.so", "libbrotlidec.dylib")
 
 _BROTLI_MODE_GENERIC = 0
+_BROTLI_PARAM_MODE = 0
+_BROTLI_PARAM_QUALITY = 1
+_BROTLI_PARAM_LGWIN = 2
+_BROTLI_PARAM_SIZE_HINT = 5
+_BROTLI_OPERATION_PROCESS = 0
+_BROTLI_OPERATION_FINISH = 2
 _BROTLI_RESULT_SUCCESS = 1
 _BROTLI_RESULT_NEEDS_MORE_INPUT = 2
 _BROTLI_RESULT_NEEDS_MORE_OUTPUT = 3
@@ -271,10 +315,21 @@ _brenc.BrotliEncoderVersion.restype = c_uint
 _brenc.BrotliEncoderVersion.argtypes = []
 _brenc.BrotliEncoderMaxCompressedSize.restype = c_size_t
 _brenc.BrotliEncoderMaxCompressedSize.argtypes = [c_size_t]
-_brenc.BrotliEncoderCompress.restype = c_int
-_brenc.BrotliEncoderCompress.argtypes = [
-    c_int, c_int, c_int, c_size_t, c_void_p, POINTER(c_size_t), c_void_p,
+_brenc.BrotliEncoderCreateInstance.restype = c_void_p
+_brenc.BrotliEncoderCreateInstance.argtypes = [c_void_p, c_void_p, c_void_p]
+_brenc.BrotliEncoderDestroyInstance.restype = None
+_brenc.BrotliEncoderDestroyInstance.argtypes = [c_void_p]
+_brenc.BrotliEncoderSetParameter.restype = c_int
+_brenc.BrotliEncoderSetParameter.argtypes = [c_void_p, c_int, c_uint32]
+_brenc.BrotliEncoderCompressStream.restype = c_int
+_brenc.BrotliEncoderCompressStream.argtypes = [
+    c_void_p, c_int,
+    POINTER(c_size_t), POINTER(c_void_p),
+    POINTER(c_size_t), POINTER(c_void_p),
+    POINTER(c_size_t),
 ]
+_brenc.BrotliEncoderIsFinished.restype = c_int
+_brenc.BrotliEncoderIsFinished.argtypes = [c_void_p]
 _brdec.BrotliDecoderCreateInstance.restype = c_void_p
 _brdec.BrotliDecoderCreateInstance.argtypes = [c_void_p, c_void_p, c_void_p]
 _brdec.BrotliDecoderDestroyInstance.restype = None
@@ -299,17 +354,58 @@ def brotli_bound(n: int) -> int:
     return _brenc.BrotliEncoderMaxCompressedSize(n)
 
 
-def brotli_compress(data, quality: int, window_log: int) -> bytes:
-    with _Pinned(data) as (src, n):
-        bound = brotli_bound(n)
-        out_size = c_size_t(bound)
-        with mmap.mmap(-1, bound) as dst, _Pinned(dst) as (out, _):
-            ok = _brenc.BrotliEncoderCompress(
-                quality, window_log, _BROTLI_MODE_GENERIC, n, src, byref(out_size), out
-            )
-            if ok != 1:
-                raise CodecFailure("brotli compress: encoder reported failure")
-            return ctypes.string_at(out, out_size.value)
+def brotli_compress(data, quality: int, window_log: int, out=None) -> bytes | None:
+    """One brotli stream of data, a bytes-like object or Pieces, with
+    BrotliEncoderCompress's settings: the given quality and window, generic
+    mode, the text's length cut to 32 bits as the size hint, and the stream
+    06 for an empty text (the encoder itself would write 3b). The last piece
+    goes in with the finish operation, as BrotliEncoderCompress gives its
+    one, so the stream is the same however the text is cut. It is written at
+    out's position, which moves past it, or without out returned as bytes;
+    a stream that would pass the end of out raises CodecFailure where
+    BrotliEncoderCompress would write an uncompressed one."""
+    n = len(data)
+    if out is None:
+        return encoded(brotli_bound(n), lambda out: brotli_compress(data, quality, window_log, out))
+    pieces = iter(data.pieces if isinstance(data, Pieces) else (data,))
+    piece, following = next(pieces, b""), next(pieces, None)
+    if following is None and not piece:
+        out.write(b"\x06")
+        return
+    handle = _brenc.BrotliEncoderCreateInstance(None, None, None)
+    if not handle:
+        raise CodecFailure("brotli: cannot allocate encoder")
+    try:
+        for param, value in ((_BROTLI_PARAM_MODE, _BROTLI_MODE_GENERIC),
+                             (_BROTLI_PARAM_QUALITY, quality),
+                             (_BROTLI_PARAM_LGWIN, window_log),
+                             (_BROTLI_PARAM_SIZE_HINT, n & 0xFFFFFFFF)):
+            _brenc.BrotliEncoderSetParameter(handle, param, value)
+        with _Pinned(out) as (dst, size):
+            start = out.tell()
+            next_out, avail_out = c_void_p(dst + start), c_size_t(size - start)
+            while True:
+                last = following is None
+                op = _BROTLI_OPERATION_FINISH if last else _BROTLI_OPERATION_PROCESS
+                with _Pinned(piece) as (src, k):
+                    next_in, avail_in = c_void_p(src), c_size_t(k)
+                    while avail_in.value or last and not _brenc.BrotliEncoderIsFinished(handle):
+                        # what is left to do writes at least one more byte
+                        if not avail_out.value:
+                            raise CodecFailure("brotli compress: stream longer than its bound")
+                        ok = _brenc.BrotliEncoderCompressStream(
+                            handle, op, byref(avail_in), byref(next_in), byref(avail_out),
+                            byref(next_out), None,
+                        )
+                        if ok != 1:
+                            raise CodecFailure("brotli compress: encoder reported failure")
+                if last:
+                    break
+                piece, following = following, next(pieces, None)
+            end = next_out.value - dst
+    finally:
+        _brenc.BrotliEncoderDestroyInstance(handle)
+    out.seek(end)
 
 
 def brotli_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
@@ -383,17 +479,21 @@ def lz4_bound(n: int) -> int:
     return _lz4.LZ4_compressBound(n) if n <= LZ4_MAX_INPUT_SIZE else 0
 
 
-def lz4hc_compress_block(data, level: int) -> bytes:
-    """Compress one raw LZ4 block (no framing; the caller records the size)."""
-    with _Pinned(data) as (src, n):
-        bound = lz4_bound(n)
-        if not bound:
-            raise CodecFailure("lz4: input exceeds the single-block limit")
-        with mmap.mmap(-1, bound) as dst, _Pinned(dst) as (out, _):
-            written = _lz4.LZ4_compress_HC(src, out, n, bound, level)
-            if written <= 0:
-                raise CodecFailure(f"lz4: LZ4_compress_HC returned {written}")
-            return ctypes.string_at(out, written)
+def lz4hc_compress_block(data, level: int, out=None) -> bytes | None:
+    """One raw LZ4 block of data (no framing; the caller records the size):
+    written at out's position, which moves past it, or without out returned
+    as bytes."""
+    bound = lz4_bound(len(data))
+    if not bound:
+        raise CodecFailure("lz4: input exceeds the single-block limit")
+    if out is None:
+        return encoded(bound, lambda out: lz4hc_compress_block(data, level, out))
+    with _Pinned(data) as (src, n), _Pinned(out) as (dst, size):
+        start = out.tell()
+        written = _lz4.LZ4_compress_HC(src, dst + start, n, size - start, level)
+    if written <= 0:
+        raise CodecFailure(f"lz4: LZ4_compress_HC returned {written}")
+    out.seek(start + written)
 
 
 def lz4_decompress_block(block, decoded_size: int) -> bytearray:

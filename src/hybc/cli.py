@@ -24,6 +24,7 @@ from .pipeline import (
     PipelineSpec,
     compress_pipeline,
     decompress_pipeline,
+    parse_header,
     pipeline_from_name,
 )
 
@@ -94,17 +95,21 @@ def main() -> None:
 def compress(input_path: str, output_path: str, pipeline_name: str) -> None:
     """Compress INPUT into a self-describing container at OUTPUT."""
     spec = _parse_pipeline(pipeline_name)
-    data = _read_bytes(input_path)
+    # INPUT is closed, and OUTPUT opened, only once the container is complete,
+    # so INPUT may be OUTPUT and a failure leaves OUTPUT as it was.
     try:
-        container = compress_pipeline(spec, data)
+        with open(input_path, "rb") as text:
+            container = compress_pipeline(spec, text)
+    except OSError as exc:
+        raise click.ClickException(f"cannot read {input_path}: {exc}") from exc
     except HybcError as exc:
         raise click.ClickException(str(exc)) from exc
     _write_bytes(output_path, container)
-    ratio = len(data) / len(container)
+    original = parse_header(container).original_len
     click.echo(f"pipeline:   {spec.display_name}")
-    click.echo(f"original:   {len(data)} bytes")
+    click.echo(f"original:   {original} bytes")
     click.echo(f"compressed: {len(container)} bytes ({FILE_EXTENSION} container)")
-    click.echo(f"ratio:      {ratio:.4f}")
+    click.echo(f"ratio:      {original / len(container):.4f}")
 
 
 @main.command()

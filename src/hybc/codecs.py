@@ -77,25 +77,46 @@ def library_versions() -> dict[str, str]:
     }
 
 
-def compress_one(codec: CodecId, data: bytes) -> bytes:
-    """Run a single codec over an in-memory buffer and return its stream."""
+# The codecs whose encoder takes its input as Pieces and writes the same
+# stream however it is cut. libzstd's streamed encoder writes other bytes than
+# ZSTD_compress, and an LZ4HC stream is one raw block, so those two read whole.
+PIECEWISE = frozenset({CodecId.LZMA, CodecId.BROTLI, CodecId.BZIP2})
+
+
+def compress_one(codec: CodecId, data, out=None) -> bytes | None:
+    """Run a single codec over data, a bytes-like object or, for a PIECEWISE
+    codec, _native.Pieces; in memory an encoder gets the whole text as one
+    piece. The stream is written at the position of out, an mmap, which
+    moves past it; without out it is returned as bytes."""
     codec = CodecId(codec)
+    if out is None:
+        return _native.encoded(stream_bound(codec, len(data)),
+                               lambda out: compress_one(codec, data, out))
     cfg = _CONFIGS[codec]
     try:
         if codec is CodecId.LZMA:
-            return lzma.compress(data, format=lzma.FORMAT_XZ, preset=cfg.level)
-        if codec is CodecId.ZSTD:
-            return _native.zstd_compress(data, cfg.level)
-        if codec is CodecId.BROTLI:
-            return _native.brotli_compress(data, cfg.level, cfg.window_log)
-        if codec is CodecId.BZIP2:
-            return bz2.compress(data, compresslevel=cfg.block_size_kb // 100)
-        block = _native.lz4hc_compress_block(data, cfg.level)
-        return _LZ4_PREFIX.pack(len(data)) + block
-    except (CodecFailure, CorruptStream):
+            _stdlib_compress(lzma.LZMACompressor(lzma.FORMAT_XZ, preset=cfg.level), data, out)
+        elif codec is CodecId.ZSTD:
+            _native.zstd_compress(data, cfg.level, out)
+        elif codec is CodecId.BROTLI:
+            _native.brotli_compress(data, cfg.level, cfg.window_log, out)
+        elif codec is CodecId.BZIP2:
+            _stdlib_compress(bz2.BZ2Compressor(cfg.block_size_kb // 100), data, out)
+        else:
+            out.write(_LZ4_PREFIX.pack(len(data)))
+            _native.lz4hc_compress_block(data, cfg.level, out)
+    except (CodecFailure, CorruptStream, OSError):
+        # an OSError comes from reading the pieces, not from the encoder
         raise
     except Exception as exc:
         raise CodecFailure(f"{codec.canonical_name} encoder failed: {exc}") from exc
+
+
+def _stdlib_compress(comp, data, out) -> None:
+    # What lzma.compress and bz2.compress do, one piece at a time.
+    for piece in data.pieces if isinstance(data, _native.Pieces) else (data,):
+        out.write(comp.compress(piece))
+    out.write(comp.flush())
 
 
 def stream_bound(codec: CodecId, n: int) -> int:

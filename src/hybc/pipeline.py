@@ -7,11 +7,16 @@ knowledge and silent corruption cannot pass unnoticed.
 """
 from __future__ import annotations
 
+import io
+import mmap
+import os
+import stat
 import struct
+from functools import partial
 from typing import NamedTuple
 
-from ._native import crc32
-from .codecs import CodecId, compress_one, decompress_one, stream_bound
+from ._native import SINK_CHUNK, Pieces, crc32, mapping
+from .codecs import PIECEWISE, CodecId, compress_one, decompress_one, stream_bound
 from .errors import (
     BadMagic,
     IntegrityMismatch,
@@ -129,12 +134,66 @@ def parse_header(buf: bytes) -> ContainerHeader:
     return ContainerHeader(spec.first, spec.second, length, crc)
 
 
-def compress_pipeline(spec: PipelineSpec, data: bytes) -> bytes:
-    """Apply the chain in order and frame the result as a container."""
-    payload = compress_one(spec.first, data)
+def compress_pipeline(spec: PipelineSpec, data) -> bytes:
+    """Apply the chain in order and frame the result as a container.
+
+    data is a bytes-like object or a binary file open for reading. A regular
+    file with bytes left, whose chain begins with a PIECEWISE codec (Brotli,
+    LZMA, Bzip2), goes to that codec in _native.SINK_CHUNK pieces, with a
+    running CRC-32 and byte count for the header; any other file is read
+    whole. Either way the container is compress_pipeline(spec, file.read())'s.
+
+    Each stage writes its stream once, into a mapping, the last one behind
+    room for the header, which is filled in last; a hybrid's second stage
+    reads the first one's stream in place. A text read from a file is let go
+    once the first stage has encoded it, and the first stage's mapping once
+    the second has, before the container is copied out of its mapping."""
+    length = crc = 0
+
+    def tally(piece):
+        nonlocal length, crc
+        length, crc = length + len(piece), crc32(piece, crc)
+        return piece
+
+    if isinstance(data, io.IOBase):
+        left = _bytes_left(data)
+        if left > 0 and spec.first in PIECEWISE:
+            data = Pieces(left, map(tally, iter(partial(data.read, SINK_CHUNK), b"")))
+        else:
+            data = tally(data.read())
+    else:
+        tally(data)
+    out = _encode(spec.first, data, 0 if spec.is_hybrid else HEADER_LEN)
+    del data
     if spec.second is not None:
-        payload = compress_one(spec.second, payload)
-    return frame(spec, data, payload)
+        with out as stage, memoryview(stage)[:stage.tell()] as stream:
+            out = _encode(spec.second, stream, HEADER_LEN)
+    with out:
+        out[:HEADER_LEN] = serialize_header(ContainerHeader(spec.first, spec.second, length, crc))
+        return out[:out.tell()]
+
+
+def _encode(codec: CodecId, text, head: int) -> mmap.mmap:
+    """A mapping holding codec's stream of text behind head bytes of room,
+    its position at the stream's end."""
+    out = mapping(head + stream_bound(codec, len(text)))
+    try:
+        out.seek(head)
+        compress_one(codec, text, out)
+    except BaseException:
+        out.close()
+        raise
+    return out
+
+
+def _bytes_left(file) -> int:
+    """The bytes from a regular file's position to its end; 0 for a file
+    that is not a regular one or has no descriptor."""
+    try:
+        status = os.fstat(file.fileno())
+    except OSError:  # io.UnsupportedOperation
+        return 0
+    return status.st_size - file.tell() if stat.S_ISREG(status.st_mode) else 0
 
 
 def frame(spec: PipelineSpec, data: bytes, payload) -> bytes:

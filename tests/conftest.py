@@ -12,6 +12,11 @@ def small_corpus() -> bytes:
 
 
 @pytest.fixture(scope="session")
+def large_text() -> bytes:
+    return generate_synthetic(SizeClass.LARGE, 42)[: 8 << 20]
+
+
+@pytest.fixture(scope="session")
 def random_64k() -> bytes:
     return random.Random(0xC0FFEE).randbytes(64 * 1024)
 

@@ -1,9 +1,13 @@
 import ast
+import errno
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -14,6 +18,7 @@ from click.testing import CliRunner
 import hybc.bench as bench_mod
 import hybc.cli as cli_mod
 import hybc.report as report_mod
+from hybc._native import SINK_CHUNK
 from hybc.bench import rank_by_dataset, run_bench, write_reports
 from hybc.cli import main
 from hybc.codecs import CodecId, compress_one, decompress_one
@@ -102,18 +107,19 @@ def test_bench_records_pipeline_failure_and_continues(three_corpora, monkeypatch
 
 def _count_encodes(monkeypatch, fail=lambda codec, data: False):
     """Route every compress_one call of a bench through one counter keyed by
-    (codec, input); `fail` picks calls to fail with CodecFailure."""
+    (codec, input); `fail` picks calls to fail with CodecFailure. A call that
+    passes a mapping to write into passes it on."""
     import hybc.metrics as metrics_mod
     import hybc.pipeline as pipeline_mod
 
     calls = {}
 
-    def counting(codec, data):
+    def counting(codec, data, *out):
         key = (CodecId(codec), bytes(data))
         calls[key] = calls.get(key, 0) + 1
         if fail(*key):
             raise CodecFailure("injected fault")
-        return compress_one(codec, data)
+        return compress_one(codec, data, *out)
 
     monkeypatch.setattr(metrics_mod, "compress_one", counting)
     monkeypatch.setattr(pipeline_mod, "compress_one", counting)
@@ -484,6 +490,115 @@ def test_cli_compress_unreadable_input_is_runtime_error(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert "cannot read" in result.output
+    assert result.output.startswith(f"Error: cannot read {tmp_path / 'missing.txt'}: ")
+    assert len(result.output.splitlines()) == 1
+
+
+def test_cli_decompress_unreadable_input_is_runtime_error(runner, tmp_path):
+    missing = tmp_path / "missing.hybc"
+    result = runner.invoke(main, ["decompress", str(missing), str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: cannot read {missing}: ")
+    assert len(result.output.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_compress_read_failure_midway_is_runtime_error(monkeypatch, runner, tmp_path,
+                                                           small_corpus):
+    # a Brotli chain reads INPUT in pieces as it encodes; a read that fails
+    # after the first piece is reported as INPUT's, not as the encoder's
+    class FailingAfterFirstPiece(io.FileIO):
+        def read(self, size=-1):
+            if self.tell():
+                raise OSError(errno.EIO, "Input/output error")
+            return super().read(size)
+
+    monkeypatch.setattr(cli_mod, "open", lambda path, mode: FailingAfterFirstPiece(path),
+                        raising=False)
+    src = tmp_path / "in.txt"
+    src.write_bytes(small_corpus)
+    result = runner.invoke(main, ["compress", "-p", "Brotli", str(src), str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert result.output == f"Error: cannot read {src}: [Errno 5] Input/output error\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("length", [0, 1, SINK_CHUNK - 1, SINK_CHUNK, SINK_CHUNK + 1, 300_001])
+def test_cli_compress_writes_the_in_memory_container(runner, tmp_path, small_corpus, length):
+    # Brotli, LZMA and Bzip2 first stages read INPUT in SINK_CHUNK pieces, the
+    # others read it whole; every chain writes compress_pipeline's bytes
+    text = (small_corpus * 3)[:length]
+    src, out = tmp_path / "in.txt", tmp_path / "out.hybc"
+    src.write_bytes(text)
+    for spec in enumerate_pipelines():
+        result = runner.invoke(main, ["compress", "-p", spec.display_name, str(src), str(out)])
+        assert result.exit_code == 0, (spec.display_name, result.output)
+        assert out.read_bytes() == compress_pipeline(spec, text), spec.display_name
+        if not length and spec == PipelineSpec(CodecId.BROTLI):
+            assert out.read_bytes()[HEADER_LEN:] == b"\x06"  # BrotliEncoderCompress's empty stream
+
+
+def test_cli_compress_reads_a_pipe_whole(runner, tmp_path, small_corpus):
+    # a pipe has no length up front, so it is read whole, with the same bytes
+    fifo, out = tmp_path / "fifo", tmp_path / "out.hybc"
+    os.mkfifo(fifo)
+    for text in (b"", small_corpus[: SINK_CHUNK + 1]):
+        for spec in enumerate_pipelines():
+            writer = threading.Thread(target=fifo.write_bytes, args=(text,), daemon=True)
+            writer.start()
+            result = runner.invoke(main, ["compress", "-p", spec.display_name, str(fifo), str(out)])
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            assert result.exit_code == 0, (spec.display_name, result.output)
+            assert out.read_bytes() == compress_pipeline(spec, text), spec.display_name
+
+
+def test_cli_compress_holds_no_piecewise_text(runner, tmp_path, small_corpus):
+    # a Brotli chain reads INPUT in 128 KiB pieces, so the 4 MiB text is never
+    # one Python object; reading it whole would alone pass the limit
+    text = (small_corpus * 30)[: 4 << 20]
+    src, out = tmp_path / "in.txt", tmp_path / "out.hybc"
+    src.write_bytes(text)
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["compress", "-p", "Brotli", str(src), str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == compress_pipeline(PipelineSpec(CodecId.BROTLI), text)
+    assert peak < len(text) // 4, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("name", ["Brotli+LZ4HC", "Zstd"])
+def test_cli_compress_input_may_be_output(runner, tmp_path, small_corpus, name):
+    # INPUT is read to its end and closed before OUTPUT is opened
+    path = tmp_path / "in.txt"
+    path.write_bytes(small_corpus)
+    result = runner.invoke(main, ["compress", "-p", name, str(path), str(path)])
+    assert result.exit_code == 0, result.output
+    assert path.read_bytes() == compress_pipeline(pipeline_from_name(name), small_corpus)
+
+
+def test_cli_compress_closes_what_it_opens(tmp_path, small_corpus):
+    """Under -X dev with ResourceWarning an error, a streamed compress exits 0
+    and one whose OUTPUT is a directory exits 1, and neither leaves a
+    warning: INPUT and the mappings are closed on both paths."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    text = tmp_path / "in.txt"
+    text.write_bytes(small_corpus)
+    codes = []
+    for output in (tmp_path / "o.hybc", tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "hybc", "compress", "-p", "Brotli+LZ4HC", str(text), str(output)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert "Warning" not in proc.stderr, proc.stderr
+        codes.append(proc.returncode)
+    assert codes == [0, 1]
+    assert (tmp_path / "o.hybc").read_bytes() == compress_pipeline(
+        pipeline_from_name("Brotli+LZ4HC"), small_corpus)
 
 
 def test_cli_decompress_truncated_container(runner, tmp_path, tiny_text):

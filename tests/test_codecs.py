@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hybc import _native
 from hybc.codecs import (
+    PIECEWISE,
     CodecId,
     codec_params,
     compress_one,
@@ -113,11 +114,6 @@ def test_random_buffer_round_trip(codec, random_64k):
     restored = decompress_one(codec, stream)
     assert isinstance(restored, bytearray)  # every codec decodes into one bytearray
     assert restored == random_64k
-
-
-@pytest.fixture(scope="module")
-def large_text() -> bytes:
-    return generate_synthetic(SizeClass.LARGE, 42)[: 8 << 20]
 
 
 @pytest.mark.parametrize("codec", [CodecId.ZSTD, CodecId.BROTLI, CodecId.LZ4HC])
@@ -280,11 +276,46 @@ def test_streamed_zstd_decoder_allocation_failure(monkeypatch):
         decompress_one(CodecId.ZSTD, frame, sink=lambda chunk: None)
 
 
-def test_stdlib_encoder_fault_becomes_codec_failure(monkeypatch):
-    def fail(*args, **kwargs):
-        raise lzma.LZMAError("out of memory")
+@pytest.mark.parametrize("cut", [4093, 1 << 16, 100_003])
+@pytest.mark.parametrize("codec", sorted(PIECEWISE))
+def test_piecewise_stream_does_not_depend_on_the_cut(codec, cut, small_corpus):
+    # 3 x 64 KiB, so a cut of 64 KiB ends the text on a Brotli input block:
+    # the last piece goes in with the finish operation, as the whole text does
+    text = small_corpus[: 3 << 16]
+    pieces = [text[i:i + cut] for i in range(0, len(text), cut)]
+    assert compress_one(codec, _native.Pieces(len(text), pieces)) == compress_one(codec, text)
 
-    monkeypatch.setattr(lzma, "compress", fail)
+
+@pytest.mark.parametrize("codec, message", [
+    (CodecId.BROTLI, r"^brotli compress: stream longer than its bound$"),
+    (CodecId.LZMA, r"^LZMA encoder failed: data out of range$"),
+    (CodecId.BZIP2, r"^Bzip2 encoder failed: data out of range$"),
+])
+def test_piecewise_stream_past_its_mapping_raises(codec, message, random_64k):
+    # pieces longer than their declared length, as from a file that grew
+    # while it was read, cannot write past the mapping sized by that length
+    pieces = _native.Pieces(10, [random_64k[:40_000], random_64k[40_000:]])
+    with _native.mapping(stream_bound(codec, len(pieces))) as out:
+        with pytest.raises(CodecFailure, match=message):
+            compress_one(codec, pieces, out)
+
+
+def test_unmappable_stream_bound_raises_codec_failure(monkeypatch):
+    # a bound no mapping can take (0 where no frame of that length exists)
+    monkeypatch.setattr(_native, "zstd_bound", lambda n: 0)
+    with pytest.raises(CodecFailure, match=r"^cannot map 0 bytes for a stream: "):
+        compress_one(CodecId.ZSTD, b"data")
+
+
+def test_stdlib_encoder_fault_becomes_codec_failure(monkeypatch):
+    class Failing:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def compress(self, data):
+            raise lzma.LZMAError("out of memory")
+
+    monkeypatch.setattr(lzma, "LZMACompressor", Failing)
     with pytest.raises(CodecFailure, match="LZMA encoder failed: out of memory") as caught:
         compress_one(CodecId.LZMA, b"data")
     assert isinstance(caught.value.__cause__, lzma.LZMAError)
@@ -310,9 +341,12 @@ _ZSTD_ALLOCATION_ERROR = 2**64 - 64
     pytest.param(CodecId.ZSTD, False, _native._zstd, "ZSTD_compress",
                  lambda *args: _ZSTD_ALLOCATION_ERROR,
                  r"^zstd compress: Allocation error", id="zstd-compress-error"),
-    pytest.param(CodecId.BROTLI, False, _native._brenc, "BrotliEncoderCompress",
+    pytest.param(CodecId.BROTLI, False, _native._brenc, "BrotliEncoderCompressStream",
                  lambda *args: 0,
                  r"^brotli compress: encoder reported failure$", id="brotli-compress-failure"),
+    pytest.param(CodecId.BROTLI, False, _native._brenc, "BrotliEncoderCreateInstance",
+                 lambda *args: None,
+                 r"^brotli: cannot allocate encoder$", id="brotli-encoder-null"),
     pytest.param(CodecId.BROTLI, True, _native._brdec, "BrotliDecoderCreateInstance",
                  lambda *args: None,
                  r"^brotli: cannot allocate decoder$", id="brotli-decoder-null"),

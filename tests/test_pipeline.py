@@ -1,3 +1,4 @@
+import io
 import random
 import struct
 import sys
@@ -250,6 +251,31 @@ def test_incompressible_input_expands_but_round_trips():
             container = compress_pipeline(spec, noise)
             assert len(container) > len(noise)  # expansion is allowed, not an error
             assert decompress_pipeline(container) == noise, (spec.display_name, length)
+
+
+@pytest.mark.parametrize("name", ["Zstd+LZ4HC", "Brotli+LZ4HC", "LZ4HC"])
+def test_compress_holds_the_container_once(name, large_text):
+    # every stage writes into an anonymous mapping, behind room for the header
+    # and the LZ4HC length prefix, and the container is copied out once: no
+    # stream is joined to a prefix or header, and a hybrid's first stream
+    # stays in its mapping
+    tracemalloc.start()
+    try:
+        container = compress_pipeline(pipeline_from_name(name), large_text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decompress_pipeline(container) == large_text
+    assert peak < 1.25 * len(container), f"peak {peak} B, container {len(container)} B"
+
+
+@pytest.mark.parametrize("name", ["Brotli", "Zstd+LZ4HC"])
+def test_compress_reads_a_file_object_without_a_descriptor(name, tiny_text):
+    # a file with no descriptor has no length up front, so it is read whole
+    spec = pipeline_from_name(name)
+    text = io.BytesIO(b"skipped" + tiny_text)
+    text.seek(7)
+    assert compress_pipeline(spec, text) == compress_pipeline(spec, tiny_text)
 
 
 def test_decompress_rejects_bad_magic(tiny_text):
