@@ -24,30 +24,31 @@ triggers a huge allocation. The Zstd and Brotli decoders also take an
 optional sink. Without one, a decoder writes into one bytearray and returns
 it; with one, it calls sink(chunk) each time the library fills its buffer of
 at most SINK_CHUNK bytes and returns the number of bytes sent. A chunk is a
-view of that buffer, valid only during the call. Each codec has one decode
-loop, in which the sink decides only where the output goes:
+view of that buffer, valid only during the call. No output buffer is
+zero-filled: memory is touched only where the library writes, and a decoder
+returns or sends only the bytes the library reports it wrote (a Zstd frame or
+LZ4 block must decode to exactly its declared size; a Brotli buffer is cut to
+the bytes written). Each codec has one decode loop, in which the sink decides
+only where the output goes:
 
 - Zstd runs one ZSTD_DCtx loop. Into memory, its buffer is the whole
-  zero-filled declared size, so a rejected stream touches the same memory
-  wherever its fault lies, and libzstd decodes a frame that fits it in one
-  call. To a sink, its buffer is one block, sent and then refilled. The
-  window buffer libzstd then holds is bounded by the checked content size,
-  not by the window the frame claims: libzstd sizes it to the smaller of the
-  two (ZSTD_decodingBufferSize_min) and adds at most one 128 KiB block of
-  input, so it stays within the in-memory output buffer plus 128 KiB. A
-  frame whose window is over libzstd's default ZSTD_d_windowLogMax (2^27;
-  hybc writes 2^21) is refused there.
+  declared size, and libzstd decodes a frame that fits it in one call. To a
+  sink, its buffer is one block, sent and then refilled. The window buffer
+  libzstd then holds is bounded by the checked content size, not by the
+  window the frame claims: libzstd sizes it to the smaller of the two
+  (ZSTD_decodingBufferSize_min) and adds at most one 128 KiB block of input,
+  so it stays within the in-memory output buffer plus 128 KiB. A frame whose
+  window is over libzstd's default ZSTD_d_windowLogMax (2^27; hybc writes
+  2^21) is refused there.
 - Brotli declares no size, so its one loop grows its buffer into memory and
   flushes it to a sink. Into memory, the buffer starts at sixteen times the
   stream length plus 1 KiB and grows geometrically with the real output, up
-  to the cap, without zero-filling. The decoder never gets room past the cap.
-- LZ4 decodes its one raw block whole, into a zero-filled buffer of exactly
-  the declared size.
+  to the cap. The decoder never gets room past the cap.
+- LZ4 decodes its one raw block whole, into a buffer of the declared size.
 
 A decoder never sends more than the cap, or than a Zstd frame declares, and
 checks the total at the end, so a sink sees bytes before they are known to
-be right. Either way a decoder returns or sends only bytes the library
-reports it wrote.
+be right.
 
 crc32 is libdeflate's libdeflate_crc32, which folds with carry-less multiplies,
 or zlib.crc32 where no libdeflate loads; both compute the same CRC-32 and
@@ -114,8 +115,8 @@ _release_buffer = ctypes.pythonapi.PyBuffer_Release
 _release_buffer.restype = None
 _release_buffer.argtypes = [POINTER(_PyBuffer)]
 # _new_bytearray(None, n) and _resize(out, n): a bytearray of n bytes and
-# resizing one to n bytes, neither writing the new bytes, which only the
-# Brotli decoder fills. A resize fails while a _Pinned block holds the bytearray.
+# resizing one to n bytes, neither writing the new bytes, which a decoder
+# fills. A resize fails while a _Pinned block holds the bytearray.
 _new_bytearray = ctypes.pythonapi.PyByteArray_FromStringAndSize
 _new_bytearray.restype = ctypes.py_object
 _new_bytearray.argtypes = [c_char_p, c_ssize_t]
@@ -268,7 +269,7 @@ def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
         if not dctx:
             raise CodecFailure("zstd: cannot allocate decoder")
         try:
-            out = bytearray(declared if sink is None else min(SINK_CHUNK, declared))
+            out = _new_bytearray(None, declared if sink is None else min(SINK_CHUNK, declared))
             with _Pinned(out) as (dst, size), memoryview(out) as view:
                 inb, outb = _ZstdBuffer(src, n, 0), _ZstdBuffer(dst, size, 0)
                 sent = 0
@@ -502,7 +503,7 @@ def lz4_decompress_block(block, decoded_size: int) -> bytearray:
         # A sequence cannot expand past ~255x, so a larger claim is corrupt.
         if not 0 <= decoded_size <= min(LZ4_MAX_INPUT_SIZE, 255 * n + 64):
             raise CorruptStream("lz4: declared size implausible for block length")
-        out = bytearray(decoded_size)
+        out = _new_bytearray(None, decoded_size)
         with _Pinned(out) as (dst, _):
             got = _lz4.LZ4_decompress_safe(src, dst, n, decoded_size)
     if got != decoded_size:

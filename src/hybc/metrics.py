@@ -17,7 +17,9 @@ from typing import Callable
 
 from .codecs import CodecId, compress_one, decompress_one, stream_bound
 from .errors import RoundTripMismatch
-from .pipeline import HEADER_LEN, PipelineSpec, compress_pipeline, decompress_pipeline, frame
+from .pipeline import (
+    HEADER_LEN, PipelineSpec, compress_pipeline, decompress_pipeline, parse_header, serialize_header,
+)
 
 MB = 1 << 20
 
@@ -94,8 +96,9 @@ def measure(
     and repetition count; a missing one is timed with `clock` and added, so
     chains that share a first stage and a count time it once.
     A one-codec chain's container is its first stage's output, a hybrid's is
-    framed from the second's; either must decode back to `data`. Serialized
-    process-wide so concurrent callers cannot pollute each other's timings.
+    that container's header, naming the second codec, and the second's output;
+    either must decode back to `data`. Serialized process-wide so concurrent
+    callers cannot pollute each other's timings.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -121,7 +124,8 @@ def measure(
                 stream, repetitions, clock, name,
             )
             timed.append(second)
-            container = frame(spec, data, second.output)
+            header = parse_header(first.output)._replace(second_codec=spec.second)
+            container = serialize_header(header) + second.output
         if decompress_pipeline(container) != data:
             raise RoundTripMismatch(name)
     return Measurement(

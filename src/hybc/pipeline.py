@@ -196,17 +196,6 @@ def _bytes_left(file) -> int:
     return status.st_size - file.tell() if stat.S_ISREG(status.st_mode) else 0
 
 
-def frame(spec: PipelineSpec, data: bytes, payload) -> bytes:
-    """The container of data: its header, then the chain's payload."""
-    header = ContainerHeader(
-        first_codec=spec.first,
-        second_codec=spec.second,
-        original_len=len(data),
-        original_crc32=crc32(data),
-    )
-    return serialize_header(header) + payload
-
-
 def decompress_pipeline(container, sink=None) -> bytearray | int:
     """Invert the recorded chain (second stage first) and verify integrity.
 

@@ -22,7 +22,6 @@ from hybc.pipeline import (
     compress_pipeline,
     decompress_pipeline,
     enumerate_pipelines,
-    frame,
     pipeline_from_name,
 )
 from hybc.report import RANKING_CSV_COLUMNS, ranking_report, render
@@ -213,12 +212,10 @@ def test_07_compression_trends_large_corpus():
         if codec is CodecId.LZMA:
             lzma_payload = memoryview(container)[HEADER_LEN:]
     lz4hc_alone = ratios[CodecId.LZ4HC]
-    # Each hybrid re-encodes the one LZMA stream, as measure() does, which gives
-    # compress_pipeline's bytes (test_measured_container_is_the_real_container).
+    # Each hybrid re-encodes the one LZMA stream, as measure() does; its container
+    # is the header and that stream (test_measured_container_is_the_real_container).
     for second in (c for c in CodecId if c is not CodecId.LZMA):
-        spec = PipelineSpec(CodecId.LZMA, second)
-        container = frame(spec, corpus, compress_one(second, lzma_payload))
-        hybrid_ratio = len(corpus) / len(container)
+        hybrid_ratio = len(corpus) / (HEADER_LEN + len(compress_one(second, lzma_payload)))
         assert hybrid_ratio >= lz4hc_alone, (second.name, hybrid_ratio, lz4hc_alone)
     print(
         f"[acceptance] compression trends on ~13 MB corpus: PASS "

@@ -200,12 +200,18 @@ def test_lz4_implausible_length_prefix_rejected():
 
 
 def test_lz4_wrong_declared_length_rejected():
+    # a block that writes fewer bytes than its prefix declares must not return
+    # the unwritten tail of the output buffer, nor send any of it
     stream = compress_one(CodecId.LZ4HC, b"x" * 500)
     (declared,) = struct.unpack_from("<Q", stream)
     assert declared == 500
     off_by_one = struct.pack("<Q", 501) + stream[8:]
     with pytest.raises(CorruptStream):
         decompress_one(CodecId.LZ4HC, off_by_one)
+    sent = []
+    with pytest.raises(CorruptStream):
+        decompress_one(CodecId.LZ4HC, off_by_one, sink=sent.append)
+    assert sent == []
 
 
 def test_zstd_short_decode_rejected(monkeypatch):

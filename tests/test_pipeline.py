@@ -1,6 +1,8 @@
 import io
+import os
 import random
 import struct
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -432,6 +434,69 @@ def test_overstated_header_raises_only_hybc_errors(spec):
     peak, error = _decode_peak(_relabelled(valid, 1 << 40, zlib.crc32(text)))
     assert isinstance(error, HybcError)
     assert peak < baseline + (1 << 20), f"peak {peak} B, baseline {baseline} B"
+
+
+# Decodes the container at argv[1] in memory and prints the HybcError it
+# raises, then how far the peak RSS grew during the decode, in KiB. Linux
+# keeps in ru_maxrss the peak of the memory an exec replaced, which for a
+# child of the test run is the run's own, so the child forks at once and
+# the fork, whose ru_maxrss starts from the child's, does the rest.
+_REJECTED_DECODE_PEAK = """
+import os, sys
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import resource
+from hybc.errors import HybcError
+from hybc.pipeline import decompress_pipeline
+with open(sys.argv[1], "rb") as f:
+    container = f.read()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    decompress_pipeline(container)
+except HybcError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+else:
+    print("decoded")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def _flipped_in_first_zstd_block(container: bytes) -> bytes:
+    frame = bytearray(container)
+    # magic, descriptor, window byte and a 4-byte content size, then the
+    # 3-byte block header: offset 13 is the first byte of the first block
+    assert frame[HEADER_LEN + 4] == 0x80
+    frame[HEADER_LEN + 13] ^= 0xFF
+    return bytes(frame)
+
+
+def _lz4_block_cut_to_a_tenth(container: bytes) -> bytes:
+    # a 2% cut would fail the 255x plausibility check before any allocation
+    start = HEADER_LEN + 8
+    return container[:start + (len(container) - start) // 10]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("codec, damage, error", [
+    (CodecId.ZSTD, _flipped_in_first_zstd_block, "CorruptStream: zstd: Data corruption detected"),
+    (CodecId.LZ4HC, _lz4_block_cut_to_a_tenth, "CorruptStream: lz4: block decoded to -"),
+], ids=["Zstd flipped in its first block", "LZ4HC cut to a tenth"])
+def test_rejected_decode_touches_only_what_the_library_wrote(codec, damage, error, tmp_path, large_text):
+    # the in-memory output buffer has the whole declared 8 MiB, but none of it
+    # is zero-filled, so a stream rejected early costs only the bytes decoded
+    # before its fault; the peak RSS is read in a child of its own
+    path = tmp_path / "damaged.hybc"
+    path.write_bytes(damage(compress_pipeline(PipelineSpec(codec), large_text)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _REJECTED_DECODE_PEAK, str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdict, grown_kib = proc.stdout.splitlines()
+    assert verdict.startswith(error)
+    assert int(grown_kib) << 10 < len(large_text) // 4, f"peak RSS grew by {grown_kib} KiB"
 
 
 @pytest.mark.parametrize("codec", [CodecId.LZMA, CodecId.BZIP2])
