@@ -361,7 +361,8 @@ def brotli_compress(data, quality: int, window_log: int, out=None) -> bytes | No
     mode, the text's length cut to 32 bits as the size hint, and the stream
     06 for an empty text (the encoder itself would write 3b). The last piece
     goes in with the finish operation, as BrotliEncoderCompress gives its
-    one, so the stream is the same however the text is cut. It is written at
+    one, so a metablock that ends the text (each 8 MiB ends one) is the last
+    one, and the stream is the same however the text is cut. It is written at
     out's position, which moves past it, or without out returned as bytes;
     a stream that would pass the end of out raises CodecFailure where
     BrotliEncoderCompress would write an uncompressed one."""

@@ -96,7 +96,7 @@ def compress(input_path: str, output_path: str, pipeline_name: str) -> None:
     """Compress INPUT into a self-describing container at OUTPUT."""
     spec = _parse_pipeline(pipeline_name)
     # INPUT is closed, and OUTPUT opened, only once the container is complete,
-    # so INPUT may be OUTPUT and a failure leaves OUTPUT as it was.
+    # so INPUT may be OUTPUT and a failure before then leaves OUTPUT as it was.
     try:
         with open(input_path, "rb") as text:
             container = compress_pipeline(spec, text)
@@ -120,7 +120,7 @@ def decompress(input_path: str, output_path: str) -> None:
     the codec chain, so no pipeline argument is needed."""
     # The text is staged in an unnamed file beside OUTPUT, so only the codec's
     # window is held in memory, and copied into OUTPUT once it is verified, so
-    # a rejected container leaves OUTPUT as it was.
+    # a failure before then leaves OUTPUT as it was (a failed copy, partial).
     try:
         with tempfile.TemporaryFile(dir=Path(output_path).parent) as staged:
             try:

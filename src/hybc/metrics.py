@@ -47,17 +47,22 @@ class Measurement:
     repetitions: int
 
     def __post_init__(self):
-        if type(self.original_bytes) is not int or self.original_bytes < 0:
-            raise ValueError("original_bytes must be an int >= 0")
-        if self.original_bytes == 0:
-            raise ValueError("cannot measure an empty buffer")
+        _check_measurable(self.original_bytes, self.repetitions)
         if type(self.compressed_bytes) is not int or self.compressed_bytes < HEADER_LEN:
             raise ValueError(f"compressed_bytes must be an int >= {HEADER_LEN} (header)")
         for seconds in (self.compress_seconds, self.decompress_seconds):
             if type(seconds) not in (int, float) or not (math.isfinite(seconds) and seconds > 0):
                 raise ValueError("timings must be finite and strictly positive numbers")
-        if type(self.repetitions) is not int or self.repetitions < 1:
-            raise ValueError("repetitions must be an int >= 1")
+
+
+def _check_measurable(original_bytes, repetitions) -> None:
+    """Refuse a text or repetition count no row may have; measure asks first."""
+    if type(original_bytes) is not int or original_bytes < 0:
+        raise ValueError("original_bytes must be an int >= 0")
+    if original_bytes == 0:
+        raise ValueError("cannot measure an empty buffer")
+    if type(repetitions) is not int or repetitions < 1:
+        raise ValueError("repetitions must be an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -98,12 +103,9 @@ def measure(
     A one-codec chain's container is its first stage's output, a hybrid's is
     that container's header, naming the second codec, and the second's output;
     either must decode back to `data`. Serialized process-wide so concurrent
-    callers cannot pollute each other's timings.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if stages is None:
-        stages = {}
+    callers cannot pollute each other's timings."""
+    _check_measurable(len(data), repetitions)
+    stages = {} if stages is None else stages
     name = spec.display_name
     with _MEASUREMENT_LOCK:
         first = stages.get((spec.first, repetitions))

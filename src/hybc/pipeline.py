@@ -143,11 +143,10 @@ def compress_pipeline(spec: PipelineSpec, data) -> bytes:
     running CRC-32 and byte count for the header; any other file is read
     whole. Either way the container is compress_pipeline(spec, file.read())'s.
 
-    Each stage writes its stream once, into a mapping, the last one behind
-    room for the header, which is filled in last; a hybrid's second stage
-    reads the first one's stream in place. A text read from a file is let go
-    once the first stage has encoded it, and the first stage's mapping once
-    the second has, before the container is copied out of its mapping."""
+    Each stage writes its stream once, into its own mapping, which a hybrid's
+    second stage reads in place. A text read whole is let go once the first
+    stage has encoded it, and the first stage's mapping once the second has,
+    before the container, the header and the last stream, is copied out."""
     length = crc = 0
 
     def tally(piece):
@@ -163,22 +162,19 @@ def compress_pipeline(spec: PipelineSpec, data) -> bytes:
             data = tally(data.read())
     else:
         tally(data)
-    out = _encode(spec.first, data, 0 if spec.is_hybrid else HEADER_LEN)
+    out = _encode(spec.first, data)
     del data
     if spec.second is not None:
         with out as stage, memoryview(stage)[:stage.tell()] as stream:
-            out = _encode(spec.second, stream, HEADER_LEN)
-    with out:
-        out[:HEADER_LEN] = serialize_header(ContainerHeader(spec.first, spec.second, length, crc))
-        return out[:out.tell()]
+            out = _encode(spec.second, stream)
+    with out as last, memoryview(last)[:last.tell()] as stream:
+        return serialize_header(ContainerHeader(spec.first, spec.second, length, crc)) + stream
 
 
-def _encode(codec: CodecId, text, head: int) -> mmap.mmap:
-    """A mapping holding codec's stream of text behind head bytes of room,
-    its position at the stream's end."""
-    out = mapping(head + stream_bound(codec, len(text)))
+def _encode(codec: CodecId, text) -> mmap.mmap:
+    """A mapping with codec's stream of text from its start to its position."""
+    out = mapping(stream_bound(codec, len(text)))
     try:
-        out.seek(head)
         compress_one(codec, text, out)
     except BaseException:
         out.close()

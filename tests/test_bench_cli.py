@@ -192,6 +192,15 @@ def test_cli_bench_empty_input_is_an_error_row_per_chain(runner, tmp_path):
     assert all(row.endswith(",error,,,,,,,,,cannot measure an empty buffer") for row in rows)
 
 
+def test_bench_encodes_nothing_for_an_empty_input(tmp_path, monkeypatch):
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    calls = _count_encodes(monkeypatch)
+    rows = run_bench([empty], enumerate_pipelines(), 3)
+    assert calls == {}
+    assert [row.error for row in rows] == ["cannot measure an empty buffer"] * 25
+
+
 def test_bench_rerun_reproduces_size_columns(three_corpora):
     # sizes (and so CR) are deterministic across reruns; timings may differ
     specs = _specs("Zstd", "LZMA", "Zstd+LZ4HC")

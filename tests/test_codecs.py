@@ -285,11 +285,20 @@ def test_streamed_zstd_decoder_allocation_failure(monkeypatch):
 @pytest.mark.parametrize("cut", [4093, 1 << 16, 100_003])
 @pytest.mark.parametrize("codec", sorted(PIECEWISE))
 def test_piecewise_stream_does_not_depend_on_the_cut(codec, cut, small_corpus):
-    # 3 x 64 KiB, so a cut of 64 KiB ends the text on a Brotli input block:
-    # the last piece goes in with the finish operation, as the whole text does
+    # 3 x 64 KiB, so the last piece is a whole one for one cut, short for two
     text = small_corpus[: 3 << 16]
     pieces = [text[i:i + cut] for i in range(0, len(text), cut)]
     assert compress_one(codec, _native.Pieces(len(text), pieces)) == compress_one(codec, text)
+
+
+def test_brotli_text_ending_on_a_metablock_does_not_depend_on_the_cut(large_text):
+    # Brotli ends a metablock at each 8 MiB of input, so a text of 8 MiB gets
+    # other bytes unless its last piece goes in with the finish operation
+    assert len(large_text) == 8 << 20
+    pieces = [large_text[i:i + _native.SINK_CHUNK]
+              for i in range(0, len(large_text), _native.SINK_CHUNK)]
+    assert compress_one(CodecId.BROTLI, _native.Pieces(len(large_text), pieces)) == (
+        compress_one(CodecId.BROTLI, large_text))
 
 
 @pytest.mark.parametrize("codec, message", [

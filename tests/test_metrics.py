@@ -53,14 +53,30 @@ def test_measure_basic_contract():
     assert m.decompress_seconds > 0
 
 
-def test_measure_rejects_zero_repetitions(tiny_text):
-    with pytest.raises(ValueError):
-        measure(PipelineSpec(CodecId.ZSTD), tiny_text, 0)
+def _assert_refused_untimed(monkeypatch, data, reps, message):
+    """measure raises before it encodes anything or reads the clock."""
+    import hybc.metrics as metrics_mod
+
+    encodes = []
+    for name in ("compress_pipeline", "compress_one"):
+        monkeypatch.setattr(metrics_mod, name, lambda *args: encodes.append(args))
+    reads = []
+
+    def counting_clock():
+        reads.append(len(reads))
+        return len(reads) * 0.001
+
+    with pytest.raises(ValueError, match=message):
+        measure(PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC), data, reps, clock=counting_clock)
+    assert reads == [] and encodes == []
 
 
-def test_measure_rejects_empty_input():
-    with pytest.raises(ValueError):
-        measure(PipelineSpec(CodecId.ZSTD), b"", 3)
+def test_measure_rejects_zero_repetitions(tiny_text, monkeypatch):
+    _assert_refused_untimed(monkeypatch, tiny_text, 0, r"^repetitions must be an int >= 1$")
+
+
+def test_measure_rejects_empty_input(monkeypatch):
+    _assert_refused_untimed(monkeypatch, b"", 3, r"^cannot measure an empty buffer$")
 
 
 def test_measure_aborts_on_round_trip_mismatch(tiny_text, monkeypatch):

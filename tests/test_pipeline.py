@@ -257,10 +257,10 @@ def test_incompressible_input_expands_but_round_trips():
 
 @pytest.mark.parametrize("name", ["Zstd+LZ4HC", "Brotli+LZ4HC", "LZ4HC"])
 def test_compress_holds_the_container_once(name, large_text):
-    # every stage writes into an anonymous mapping, behind room for the header
-    # and the LZ4HC length prefix, and the container is copied out once: no
-    # stream is joined to a prefix or header, and a hybrid's first stream
-    # stays in its mapping
+    # every stage writes into an anonymous mapping, an LZ4HC stage its length
+    # prefix before its block, and the container is copied out once, as the
+    # header joined to the last stream; a hybrid's first stream stays in its
+    # mapping
     tracemalloc.start()
     try:
         container = compress_pipeline(pipeline_from_name(name), large_text)
@@ -269,6 +269,22 @@ def test_compress_holds_the_container_once(name, large_text):
         tracemalloc.stop()
     assert decompress_pipeline(container) == large_text
     assert peak < 1.25 * len(container), f"peak {peak} B, container {len(container)} B"
+
+
+@pytest.mark.parametrize("name", ["Zstd", "LZ4HC"])
+def test_compress_lets_a_text_read_whole_go_early(name, tmp_path, large_text):
+    # the text read from the file is let go once the first stage has encoded
+    # it, so the text and the container are never held together
+    path = tmp_path / "text"
+    path.write_bytes(large_text[: 4 << 20])
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as text:
+            container = compress_pipeline(pipeline_from_name(name), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 << 20) + len(container) / 2, f"peak {peak} B, container {len(container)} B"
 
 
 @pytest.mark.parametrize("name", ["Brotli", "Zstd+LZ4HC"])
