@@ -6,11 +6,11 @@ searched for nowhere else; where none loads, the import raises CodecFailure
 
 Only the small surface this package needs is bound. Buffers are passed to
 the libraries in place, so inputs may be bytes, bytearray or a memoryview and
-are never copied. An encoder writes its stream at the position of a mapping
-the caller gives it (see mapping), which the kernel backs only where the
-library writes, and moves the position past the stream; called without one,
-it writes into a fresh mapping of the compress bound and copies out only the
-bytes it wrote. A bound is 0 where no stream of that input length can exist.
+are never copied. An encoder maps its compress bound (see mapping), which the
+kernel backs only where the library writes, writes its stream from the start
+and returns a memoryview of the bytes it wrote; the mapping goes when that
+view is released, or with the exception an encoder raises. A bound is 0
+where no stream of that input length can exist.
 ZSTD_compress and LZ4_compress_HC read their input whole. Brotli runs one
 BrotliEncoderCompressStream loop, which takes a bytes-like input as one piece
 and Pieces one at a time, with BrotliEncoderCompress's settings, so a text
@@ -160,19 +160,12 @@ class Pieces:
 
 
 def mapping(size: int) -> mmap.mmap:
-    """An anonymous mapping of size bytes for a stream to be written into at
-    its position; the kernel backs only the pages written."""
+    """An anonymous mapping of size bytes for an encoder to write its stream
+    into; the kernel backs only the pages written."""
     try:
         return mmap.mmap(-1, size)
     except (OSError, ValueError, OverflowError) as exc:
         raise CodecFailure(f"cannot map {size} bytes for a stream: {exc}") from exc
-
-
-def encoded(size: int, fill) -> bytes:
-    """The bytes fill(out) writes into a fresh mapping of size bytes."""
-    with mapping(size) as out:
-        fill(out)
-        return out[:out.tell()]
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +229,15 @@ def zstd_bound(n: int) -> int:
     return 0 if _zstd.ZSTD_isError(bound) else bound
 
 
-def zstd_compress(data, level: int, out=None) -> bytes | None:
-    """One zstd frame of data, which ZSTD_compress reads whole: written at
-    out's position, which moves past it, or without out returned as bytes."""
-    if out is None:
-        return encoded(zstd_bound(len(data)), lambda out: zstd_compress(data, level, out))
+def zstd_compress(data, level: int) -> memoryview:
+    """One zstd frame of data, which ZSTD_compress reads whole, as a view of
+    its mapping."""
+    out = mapping(zstd_bound(len(data)))
     with _Pinned(data) as (src, n), _Pinned(out) as (dst, size):
-        start = out.tell()
-        code = _zstd.ZSTD_compress(dst + start, size - start, src, n, level)
+        code = _zstd.ZSTD_compress(dst, size, src, n, level)
     if _zstd.ZSTD_isError(code):
         raise CodecFailure(f"zstd compress: {_zstd_error(code)}")
-    out.seek(start + code)
+    return memoryview(out)[:code]
 
 
 def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
@@ -355,25 +346,24 @@ def brotli_bound(n: int) -> int:
     return _brenc.BrotliEncoderMaxCompressedSize(n)
 
 
-def brotli_compress(data, quality: int, window_log: int, out=None) -> bytes | None:
+def brotli_compress(data, quality: int, window_log: int) -> memoryview:
     """One brotli stream of data, a bytes-like object or Pieces, with
     BrotliEncoderCompress's settings: the given quality and window, generic
     mode, the text's length cut to 32 bits as the size hint, and the stream
     06 for an empty text (the encoder itself would write 3b). The last piece
     goes in with the finish operation, as BrotliEncoderCompress gives its
     one, so a metablock that ends the text (each 8 MiB ends one) is the last
-    one, and the stream is the same however the text is cut. It is written at
-    out's position, which moves past it, or without out returned as bytes;
-    a stream that would pass the end of out raises CodecFailure where
+    one, and the stream is the same however the text is cut. It is returned
+    as a view of its mapping of brotli_bound(len(data)) bytes; a stream that
+    would pass the end of the mapping raises CodecFailure where
     BrotliEncoderCompress would write an uncompressed one."""
     n = len(data)
-    if out is None:
-        return encoded(brotli_bound(n), lambda out: brotli_compress(data, quality, window_log, out))
+    out = mapping(brotli_bound(n))
     pieces = iter(data.pieces if isinstance(data, Pieces) else (data,))
     piece, following = next(pieces, b""), next(pieces, None)
     if following is None and not piece:
         out.write(b"\x06")
-        return
+        return memoryview(out)[:1]
     handle = _brenc.BrotliEncoderCreateInstance(None, None, None)
     if not handle:
         raise CodecFailure("brotli: cannot allocate encoder")
@@ -384,8 +374,7 @@ def brotli_compress(data, quality: int, window_log: int, out=None) -> bytes | No
                              (_BROTLI_PARAM_SIZE_HINT, n & 0xFFFFFFFF)):
             _brenc.BrotliEncoderSetParameter(handle, param, value)
         with _Pinned(out) as (dst, size):
-            start = out.tell()
-            next_out, avail_out = c_void_p(dst + start), c_size_t(size - start)
+            next_out, avail_out = c_void_p(dst), c_size_t(size)
             while True:
                 last = following is None
                 op = _BROTLI_OPERATION_FINISH if last else _BROTLI_OPERATION_PROCESS
@@ -407,7 +396,7 @@ def brotli_compress(data, quality: int, window_log: int, out=None) -> bytes | No
             end = next_out.value - dst
     finally:
         _brenc.BrotliEncoderDestroyInstance(handle)
-    out.seek(end)
+    return memoryview(out)[:end]
 
 
 def brotli_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
@@ -481,21 +470,20 @@ def lz4_bound(n: int) -> int:
     return _lz4.LZ4_compressBound(n) if n <= LZ4_MAX_INPUT_SIZE else 0
 
 
-def lz4hc_compress_block(data, level: int, out=None) -> bytes | None:
-    """One raw LZ4 block of data (no framing; the caller records the size):
-    written at out's position, which moves past it, or without out returned
-    as bytes."""
+def lz4hc_compress_block(data, level: int, prefix=b"") -> memoryview:
+    """One raw LZ4 block of data (no framing; the caller records the size)
+    written after prefix into one mapping, as a view of prefix and block."""
     bound = lz4_bound(len(data))
     if not bound:
         raise CodecFailure("lz4: input exceeds the single-block limit")
-    if out is None:
-        return encoded(bound, lambda out: lz4hc_compress_block(data, level, out))
+    start = len(prefix)
+    out = mapping(start + bound)
+    out[:start] = prefix
     with _Pinned(data) as (src, n), _Pinned(out) as (dst, size):
-        start = out.tell()
         written = _lz4.LZ4_compress_HC(src, dst + start, n, size - start, level)
     if written <= 0:
         raise CodecFailure(f"lz4: LZ4_compress_HC returned {written}")
-    out.seek(start + written)
+    return memoryview(out)[:start + written]
 
 
 def lz4_decompress_block(block, decoded_size: int) -> bytearray:

@@ -83,28 +83,26 @@ def library_versions() -> dict[str, str]:
 PIECEWISE = frozenset({CodecId.LZMA, CodecId.BROTLI, CodecId.BZIP2})
 
 
-def compress_one(codec: CodecId, data, out=None) -> bytes | None:
-    """Run a single codec over data, a bytes-like object or, for a PIECEWISE
-    codec, _native.Pieces; in memory an encoder gets the whole text as one
-    piece. The stream is written at the position of out, an mmap, which
-    moves past it; without out it is returned as bytes."""
+def encode(codec: CodecId, data) -> memoryview:
+    """A single codec's stream of data, a bytes-like object or, for a
+    PIECEWISE codec, _native.Pieces; in memory an encoder gets the whole text
+    as one piece. The encoder maps stream_bound(codec, len(data)) bytes and
+    returns a view of the stream at their start; releasing the view unmaps
+    them."""
     codec = CodecId(codec)
-    if out is None:
-        return _native.encoded(stream_bound(codec, len(data)),
-                               lambda out: compress_one(codec, data, out))
     cfg = _CONFIGS[codec]
     try:
         if codec is CodecId.LZMA:
-            _stdlib_compress(lzma.LZMACompressor(lzma.FORMAT_XZ, preset=cfg.level), data, out)
-        elif codec is CodecId.ZSTD:
-            _native.zstd_compress(data, cfg.level, out)
-        elif codec is CodecId.BROTLI:
-            _native.brotli_compress(data, cfg.level, cfg.window_log, out)
-        elif codec is CodecId.BZIP2:
-            _stdlib_compress(bz2.BZ2Compressor(cfg.block_size_kb // 100), data, out)
-        else:
-            out.write(_LZ4_PREFIX.pack(len(data)))
-            _native.lz4hc_compress_block(data, cfg.level, out)
+            comp = lzma.LZMACompressor(lzma.FORMAT_XZ, preset=cfg.level)
+            return _stdlib_compress(comp, data, stream_bound(codec, len(data)))
+        if codec is CodecId.ZSTD:
+            return _native.zstd_compress(data, cfg.level)
+        if codec is CodecId.BROTLI:
+            return _native.brotli_compress(data, cfg.level, cfg.window_log)
+        if codec is CodecId.BZIP2:
+            comp = bz2.BZ2Compressor(cfg.block_size_kb // 100)
+            return _stdlib_compress(comp, data, stream_bound(codec, len(data)))
+        return _native.lz4hc_compress_block(data, cfg.level, _LZ4_PREFIX.pack(len(data)))
     except (CodecFailure, CorruptStream, OSError):
         # an OSError comes from reading the pieces, not from the encoder
         raise
@@ -112,15 +110,24 @@ def compress_one(codec: CodecId, data, out=None) -> bytes | None:
         raise CodecFailure(f"{codec.canonical_name} encoder failed: {exc}") from exc
 
 
-def _stdlib_compress(comp, data, out) -> None:
-    # What lzma.compress and bz2.compress do, one piece at a time.
+def compress_one(codec: CodecId, data) -> bytes:
+    """encode(codec, data) as bytes; its mapping is gone when this returns."""
+    with encode(codec, data) as stream:
+        return bytes(stream)
+
+
+def _stdlib_compress(comp, data, bound: int) -> memoryview:
+    # What lzma.compress and bz2.compress do, one piece at a time, into a
+    # mapping of bound bytes.
+    out = _native.mapping(bound)
     for piece in data.pieces if isinstance(data, _native.Pieces) else (data,):
         out.write(comp.compress(piece))
     out.write(comp.flush())
+    return memoryview(out)[:out.tell()]
 
 
 def stream_bound(codec: CodecId, n: int) -> int:
-    """The longest stream compress_one(codec, data) writes for n input bytes;
+    """The longest stream encode(codec, data) writes for n input bytes;
     decompress_pipeline caps the stream between two stages by it."""
     codec = CodecId(codec)
     if codec is CodecId.LZMA:

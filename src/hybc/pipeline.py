@@ -8,15 +8,15 @@ knowledge and silent corruption cannot pass unnoticed.
 from __future__ import annotations
 
 import io
-import mmap
 import os
 import stat
 import struct
 from functools import partial
 from typing import NamedTuple
 
-from ._native import SINK_CHUNK, Pieces, crc32, mapping
-from .codecs import PIECEWISE, CodecId, compress_one, decompress_one, stream_bound
+from ._native import SINK_CHUNK, Pieces, crc32
+# compress_one is not called here, but perfbench's tracer patches it on this module
+from .codecs import PIECEWISE, CodecId, compress_one, decompress_one, encode, stream_bound
 from .errors import (
     BadMagic,
     IntegrityMismatch,
@@ -143,10 +143,11 @@ def compress_pipeline(spec: PipelineSpec, data) -> bytes:
     running CRC-32 and byte count for the header; any other file is read
     whole. Either way the container is compress_pipeline(spec, file.read())'s.
 
-    Each stage writes its stream once, into its own mapping, which a hybrid's
-    second stage reads in place. A text read whole is let go once the first
-    stage has encoded it, and the first stage's mapping once the second has,
-    before the container, the header and the last stream, is copied out."""
+    Each stage's encoder writes its stream once, into a mapping of its own,
+    and returns a view of it, which a hybrid's second stage reads in place. A
+    text read whole is let go once the first stage has encoded it, the first
+    stage's view (and so its mapping) once the second has, and the last one
+    once the container, the header and the last stream, is copied out."""
     length = crc = 0
 
     def tally(piece):
@@ -162,24 +163,13 @@ def compress_pipeline(spec: PipelineSpec, data) -> bytes:
             data = tally(data.read())
     else:
         tally(data)
-    out = _encode(spec.first, data)
+    stream = encode(spec.first, data)
     del data
     if spec.second is not None:
-        with out as stage, memoryview(stage)[:stage.tell()] as stream:
-            out = _encode(spec.second, stream)
-    with out as last, memoryview(last)[:last.tell()] as stream:
+        with stream as first:
+            stream = encode(spec.second, first)
+    with stream:
         return serialize_header(ContainerHeader(spec.first, spec.second, length, crc)) + stream
-
-
-def _encode(codec: CodecId, text) -> mmap.mmap:
-    """A mapping with codec's stream of text from its start to its position."""
-    out = mapping(stream_bound(codec, len(text)))
-    try:
-        compress_one(codec, text, out)
-    except BaseException:
-        out.close()
-        raise
-    return out
 
 
 def _bytes_left(file) -> int:

@@ -21,7 +21,7 @@ import hybc.report as report_mod
 from hybc._native import SINK_CHUNK
 from hybc.bench import rank_by_dataset, run_bench, write_reports
 from hybc.cli import main
-from hybc.codecs import CodecId, compress_one, decompress_one
+from hybc.codecs import CodecId, compress_one, decompress_one, encode
 from hybc.errors import CodecFailure, CorruptStream
 from hybc.metrics import DsBasis
 from hybc.pipeline import (
@@ -106,23 +106,25 @@ def test_bench_records_pipeline_failure_and_continues(three_corpora, monkeypatch
 
 
 def _count_encodes(monkeypatch, fail=lambda codec, data: False):
-    """Route every compress_one call of a bench through one counter keyed by
-    (codec, input); `fail` picks calls to fail with CodecFailure. A call that
-    passes a mapping to write into passes it on."""
+    """Route every encode of a bench, compress_one in hybc.metrics and encode
+    in hybc.pipeline, through one counter keyed by (codec, input); `fail`
+    picks calls to fail with CodecFailure."""
     import hybc.metrics as metrics_mod
     import hybc.pipeline as pipeline_mod
 
     calls = {}
 
-    def counting(codec, data, *out):
-        key = (CodecId(codec), bytes(data))
-        calls[key] = calls.get(key, 0) + 1
-        if fail(*key):
-            raise CodecFailure("injected fault")
-        return compress_one(codec, data, *out)
+    def counting(real):
+        def call(codec, data):
+            key = (CodecId(codec), bytes(data))
+            calls[key] = calls.get(key, 0) + 1
+            if fail(*key):
+                raise CodecFailure("injected fault")
+            return real(codec, data)
+        return call
 
-    monkeypatch.setattr(metrics_mod, "compress_one", counting)
-    monkeypatch.setattr(pipeline_mod, "compress_one", counting)
+    monkeypatch.setattr(metrics_mod, "compress_one", counting(compress_one))
+    monkeypatch.setattr(pipeline_mod, "encode", counting(encode))
     return calls
 
 
@@ -323,6 +325,31 @@ def test_imports_stay_at_module_top():
                 found |= {(path.name, node.name) for inner in ast.walk(node)
                           if isinstance(inner, (ast.Import, ast.ImportFrom))}
     assert found <= _DEFERRED_IMPORTS, sorted(found - _DEFERRED_IMPORTS)
+
+
+# The names imported in src/hybc that their module never refers to, each with
+# why it is imported.
+_UNREFERENCED_IMPORTS = {
+    ("__init__.py", "_native"): "importing hybc loads the shared libraries",
+    ("__init__.py", "errors"): "the package's exceptions load with it, as its docstring says",
+    ("pipeline.py", "compress_one"): "perfbench's tracer patches hybc.pipeline.compress_one",
+}
+
+
+def test_every_imported_name_is_referenced():
+    """A name imported in a module and never referenced there costs each CLI
+    process its import, so only the listed ones are kept."""
+    found = set()
+    for path in sorted(Path(cli_mod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found |= {(path.name, name) for name in imported - referenced}
+    assert found == set(_UNREFERENCED_IMPORTS), sorted(found ^ set(_UNREFERENCED_IMPORTS))
 
 
 _RUN_MAIN = """

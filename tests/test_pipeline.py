@@ -287,6 +287,52 @@ def test_compress_lets_a_text_read_whole_go_early(name, tmp_path, large_text):
     assert peak < (4 << 20) + len(container) / 2, f"peak {peak} B, container {len(container)} B"
 
 
+@pytest.fixture
+def mappings(monkeypatch):
+    """A weak reference to each mapping _native.mapping makes from now on."""
+    made, real = [], _native.mapping
+
+    def recording(size):
+        out = real(size)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(_native, "mapping", recording)
+    return made
+
+
+def test_compress_maps_once_per_stage_and_keeps_no_mapping(mappings, small_corpus, monkeypatch):
+    # every encoder maps its own stream through _native.mapping; a hybrid's
+    # first mapping goes once the second stage has encoded it, before the
+    # header is joined to the last stream, and the last once it is joined
+    import hybc.pipeline as pipeline_mod
+
+    alive_at_header = []
+
+    def header(fields):
+        alive_at_header.append(sum(ref() is not None for ref in mappings))
+        return serialize_header(fields)
+
+    monkeypatch.setattr(pipeline_mod, "serialize_header", header)
+    text = small_corpus[:20_000]
+    for spec in enumerate_pipelines():
+        mappings.clear()
+        alive_at_header.clear()
+        container = compress_pipeline(spec, text)
+        assert len(mappings) == len(spec.codecs), spec.display_name
+        assert alive_at_header == [1], spec.display_name
+        assert [ref() for ref in mappings] == [None] * len(spec.codecs), spec.display_name
+        assert decompress_pipeline(container) == text
+
+
+@pytest.mark.parametrize("codec", list(CodecId))
+def test_compress_one_maps_once_and_keeps_no_mapping(codec, mappings, tiny_text):
+    stream = compress_one(codec, tiny_text)
+    assert len(mappings) == 1
+    assert mappings[0]() is None
+    assert isinstance(stream, bytes)
+
+
 @pytest.mark.parametrize("name", ["Brotli", "Zstd+LZ4HC"])
 def test_compress_reads_a_file_object_without_a_descriptor(name, tiny_text):
     # a file with no descriptor has no length up front, so it is read whole
