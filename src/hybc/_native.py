@@ -11,10 +11,13 @@ kernel backs only where the library writes, writes its stream from the start
 and returns a memoryview of the bytes it wrote; the mapping goes when that
 view is released, or with the exception an encoder raises. A bound is 0
 where no stream of that input length can exist.
-ZSTD_compress and LZ4_compress_HC read their input whole. Brotli runs one
-BrotliEncoderCompressStream loop, which takes a bytes-like input as one piece
-and Pieces one at a time, with BrotliEncoderCompress's settings, so a text
-gives that function's stream however it is cut.
+LZ4_compress_HC reads its input whole. Zstd runs one ZSTD_compressStream2
+loop over a stable input buffer, which is a bytes-like input itself or a
+mapping that Pieces are read into, so a text gives ZSTD_compress's frame
+however it is cut. Brotli runs one BrotliEncoderCompressStream loop, which
+takes a bytes-like input as one piece and Pieces one at a time, with
+BrotliEncoderCompress's settings, so a text gives that function's stream
+however it is cut.
 
 A decoder takes an optional cap, the most bytes its output may hold. Where a
 stream declares its decoded size (the zstd frame header, the LZ4HC length
@@ -148,22 +151,34 @@ class _Pinned:
 
 class Pieces:
     """A text as an encoder that takes pieces reads it: its length up front,
-    as len(), and an iterable of bytes-like pieces, read once."""
+    as len(), and readinto(buffer), which writes the text's next bytes into
+    a writable buffer and returns their count, 0 once the text has ended.
+    Iterating it reads the text once, in pieces of at most SINK_CHUNK bytes,
+    each in a buffer of its own."""
 
-    __slots__ = ("length", "pieces")
+    __slots__ = ("length", "readinto")
 
-    def __init__(self, length: int, pieces):
-        self.length, self.pieces = length, pieces
+    def __init__(self, length: int, readinto):
+        self.length, self.readinto = length, readinto
 
     def __len__(self) -> int:
         return self.length
 
+    def __iter__(self):
+        while True:
+            piece = _new_bytearray(None, SINK_CHUNK)
+            got = self.readinto(piece)
+            if not got:
+                return
+            yield memoryview(piece)[:got]
+
 
 def mapping(size: int) -> mmap.mmap:
-    """An anonymous mapping of size bytes for an encoder to write its stream
-    into; the kernel backs only the pages written."""
+    """An anonymous private mapping of size bytes for an encoder to write
+    into; the kernel backs only the pages written, and frees a page released
+    with MADV_DONTNEED (a shared one would keep its bytes)."""
     try:
-        return mmap.mmap(-1, size)
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
     except (OSError, ValueError, OverflowError) as exc:
         raise CodecFailure(f"cannot map {size} bytes for a stream: {exc}") from exc
 
@@ -177,8 +192,14 @@ _zstd.ZSTD_versionString.restype = c_char_p
 _zstd.ZSTD_versionString.argtypes = []
 _zstd.ZSTD_compressBound.restype = c_size_t
 _zstd.ZSTD_compressBound.argtypes = [c_size_t]
-_zstd.ZSTD_compress.restype = c_size_t
-_zstd.ZSTD_compress.argtypes = [c_void_p, c_size_t, c_void_p, c_size_t, c_int]
+_zstd.ZSTD_createCCtx.restype = c_void_p
+_zstd.ZSTD_createCCtx.argtypes = []
+_zstd.ZSTD_freeCCtx.restype = c_size_t
+_zstd.ZSTD_freeCCtx.argtypes = [c_void_p]
+_zstd.ZSTD_CCtx_setParameter.restype = c_size_t
+_zstd.ZSTD_CCtx_setParameter.argtypes = [c_void_p, c_int, c_int]
+_zstd.ZSTD_CCtx_setPledgedSrcSize.restype = c_size_t
+_zstd.ZSTD_CCtx_setPledgedSrcSize.argtypes = [c_void_p, c_ulonglong]
 _zstd.ZSTD_isError.restype = c_uint
 _zstd.ZSTD_isError.argtypes = [c_size_t]
 _zstd.ZSTD_getErrorName.restype = c_char_p
@@ -201,8 +222,28 @@ class _ZstdBuffer(ctypes.Structure):
     _fields_ = [("ptr", c_void_p), ("size", c_size_t), ("pos", c_size_t)]
 
 
+class _ZstdCParams(ctypes.Structure):
+    """ZSTD_compressionParameters."""
+
+    _fields_ = [(name, c_uint) for name in (
+        "windowLog", "chainLog", "hashLog", "searchLog", "minMatch", "targetLength", "strategy",
+    )]
+
+
+_zstd.ZSTD_compressStream2.restype = c_size_t
+_zstd.ZSTD_compressStream2.argtypes = [c_void_p, POINTER(_ZstdBuffer), POINTER(_ZstdBuffer), c_int]
+_zstd.ZSTD_getCParams.restype = _ZstdCParams
+_zstd.ZSTD_getCParams.argtypes = [c_int, c_ulonglong, c_size_t]
 _zstd.ZSTD_decompressStream.restype = c_size_t
 _zstd.ZSTD_decompressStream.argtypes = [c_void_p, POINTER(_ZstdBuffer), POINTER(_ZstdBuffer)]
+
+# ZSTD_cParameter values: ZSTD_c_compressionLevel, and the experimental
+# ZSTD_c_stableInBuffer and ZSTD_c_stableOutBuffer; ZSTD_EndDirective values.
+_ZSTD_C_COMPRESSION_LEVEL = 100
+_ZSTD_C_STABLE_IN_BUFFER = 1006
+_ZSTD_C_STABLE_OUT_BUFFER = 1007
+_ZSTD_E_CONTINUE = 0
+_ZSTD_E_END = 2
 
 # ZSTD_CONTENTSIZE_ERROR; ZSTD_CONTENTSIZE_UNKNOWN is the one value above it.
 _ZSTD_CONTENTSIZE_ERROR = 2**64 - 2
@@ -229,15 +270,75 @@ def zstd_bound(n: int) -> int:
     return 0 if _zstd.ZSTD_isError(bound) else bound
 
 
-def zstd_compress(data, level: int) -> memoryview:
-    """One zstd frame of data, which ZSTD_compress reads whole, as a view of
-    its mapping."""
-    out = mapping(zstd_bound(len(data)))
-    with _Pinned(data) as (src, n), _Pinned(out) as (dst, size):
-        code = _zstd.ZSTD_compress(dst, size, src, n, level)
+def _zstd_window(level: int, n: int) -> int:
+    """The window, in bytes, of libzstd's parameters for level and n input
+    bytes: no match reaches further back."""
+    return 1 << _zstd.ZSTD_getCParams(level, n, 0).windowLog
+
+
+def _zstd_encoder_call(name: str, *args) -> int:
+    code = getattr(_zstd, name)(*args)
     if _zstd.ZSTD_isError(code):
-        raise CodecFailure(f"zstd compress: {_zstd_error(code)}")
-    return memoryview(out)[:code]
+        raise CodecFailure(f"zstd compress: {_zstd_error(code)} ({name})")
+    return code
+
+
+def zstd_compress(data, level: int) -> memoryview:
+    """One zstd frame of data, a bytes-like object or Pieces, with the bytes
+    ZSTD_compress writes for the whole text, as a view of its mapping of
+    zstd_bound(len(data)) bytes.
+
+    One ZSTD_compressStream2 loop serves both. Its input is one stable
+    buffer (ZSTD_c_stableInBuffer) of the pledged length, which libzstd
+    reads in place as ZSTD_compress does; copied into a buffer of libzstd's
+    own, the text would give other bytes. A bytes-like text is that buffer
+    whole, finished at once. Pieces are read into an anonymous mapping, one
+    SINK_CHUNK at a time; the buffer grows by each piece, libzstd encodes
+    the whole blocks it holds, and the pages more than the frame's window
+    and two blocks behind what libzstd has taken are released, since it
+    reads nothing below its window. Pieces of other than their length raise
+    CodecFailure."""
+    n = len(data)
+    pieces = isinstance(data, Pieces)
+    out = mapping(zstd_bound(n))
+    # one byte more than the text, so a read shows a text longer than n
+    text = mapping(n + 1) if pieces else data
+    cctx = _zstd.ZSTD_createCCtx()
+    if not cctx:
+        raise CodecFailure("zstd: cannot allocate encoder")
+    try:
+        for param, value in ((_ZSTD_C_COMPRESSION_LEVEL, level),
+                             (_ZSTD_C_STABLE_IN_BUFFER, 1),
+                             (_ZSTD_C_STABLE_OUT_BUFFER, 1)):
+            _zstd_encoder_call("ZSTD_CCtx_setParameter", cctx, param, value)
+        _zstd_encoder_call("ZSTD_CCtx_setPledgedSrcSize", cctx, n)
+        keep = _zstd_window(level, n) + 2 * SINK_CHUNK
+        released = 0
+        with _Pinned(text) as (src, size), _Pinned(out) as (dst, room):
+            inb, outb = _ZstdBuffer(src, 0 if pieces else size, 0), _ZstdBuffer(dst, room, 0)
+            while pieces:
+                got = data.readinto(memoryview(text)[inb.size:inb.size + SINK_CHUNK])
+                inb.size += got
+                if inb.size > n or not got and inb.size < n:
+                    raise CodecFailure(f"zstd compress: text is not the {n} bytes pledged")
+                if not got:
+                    break
+                # libzstd would encode a last whole block as one more to come,
+                # so the text's last piece waits for ZSTD_e_end
+                if inb.size < n:
+                    _zstd_encoder_call("ZSTD_compressStream2", cctx, byref(outb), byref(inb),
+                                       _ZSTD_E_CONTINUE)
+                    cut = (inb.pos - keep) // mmap.PAGESIZE * mmap.PAGESIZE
+                    if cut > released:
+                        text.madvise(mmap.MADV_DONTNEED, released, cut - released)
+                        released = cut
+            # with a stable output buffer libzstd writes the frame's end in
+            # this call, so nothing is left to flush
+            if _zstd_encoder_call("ZSTD_compressStream2", cctx, byref(outb), byref(inb), _ZSTD_E_END):
+                raise CodecFailure("zstd compress: frame not finished in one call")
+    finally:
+        _zstd.ZSTD_freeCCtx(cctx)
+    return memoryview(out)[:outb.pos]
 
 
 def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
@@ -359,7 +460,7 @@ def brotli_compress(data, quality: int, window_log: int) -> memoryview:
     BrotliEncoderCompress would write an uncompressed one."""
     n = len(data)
     out = mapping(brotli_bound(n))
-    pieces = iter(data.pieces if isinstance(data, Pieces) else (data,))
+    pieces = iter(data if isinstance(data, Pieces) else (data,))
     piece, following = next(pieces, b""), next(pieces, None)
     if following is None and not piece:
         out.write(b"\x06")

@@ -78,9 +78,9 @@ def library_versions() -> dict[str, str]:
 
 
 # The codecs whose encoder takes its input as Pieces and writes the same
-# stream however it is cut. libzstd's streamed encoder writes other bytes than
-# ZSTD_compress, and an LZ4HC stream is one raw block, so those two read whole.
-PIECEWISE = frozenset({CodecId.LZMA, CodecId.BROTLI, CodecId.BZIP2})
+# stream however it is cut: all but LZ4HC, whose stream is one raw block that
+# liblz4 encodes from the whole text.
+PIECEWISE = frozenset(CodecId) - {CodecId.LZ4HC}
 
 
 def encode(codec: CodecId, data) -> memoryview:
@@ -120,7 +120,7 @@ def _stdlib_compress(comp, data, bound: int) -> memoryview:
     # What lzma.compress and bz2.compress do, one piece at a time, into a
     # mapping of bound bytes.
     out = _native.mapping(bound)
-    for piece in data.pieces if isinstance(data, _native.Pieces) else (data,):
+    for piece in data if isinstance(data, _native.Pieces) else (data,):
         out.write(comp.compress(piece))
     out.write(comp.flush())
     return memoryview(out)[:out.tell()]

@@ -11,10 +11,9 @@ import io
 import os
 import stat
 import struct
-from functools import partial
 from typing import NamedTuple
 
-from ._native import SINK_CHUNK, Pieces, crc32
+from ._native import Pieces, crc32
 # compress_one is not called here, but perfbench's tracer patches it on this module
 from .codecs import PIECEWISE, CodecId, compress_one, decompress_one, encode, stream_bound
 from .errors import (
@@ -138,16 +137,23 @@ def compress_pipeline(spec: PipelineSpec, data) -> bytes:
     """Apply the chain in order and frame the result as a container.
 
     data is a bytes-like object or a binary file open for reading. A regular
-    file with bytes left, whose chain begins with a PIECEWISE codec (Brotli,
-    LZMA, Bzip2), goes to that codec in _native.SINK_CHUNK pieces, with a
+    file with bytes left, whose chain begins with a PIECEWISE codec (any but
+    LZ4HC), goes to that codec as _native.Pieces of the length left, which
+    the encoder reads with the file's readinto as it needs them, with a
     running CRC-32 and byte count for the header; any other file is read
     whole. Either way the container is compress_pipeline(spec, file.read())'s.
+    A Zstd first stage raises CodecFailure for a file whose bytes are not
+    the length it had up front; the others encode what they read, up to
+    what their stream's mapping holds.
 
     Each stage's encoder writes its stream once, into a mapping of its own,
     and returns a view of it, which a hybrid's second stage reads in place. A
     text read whole is let go once the first stage has encoded it, the first
     stage's view (and so its mapping) once the second has, and the last one
-    once the container, the header and the last stream, is copied out."""
+    once the container, the header and the last stream, is copied out. A
+    Zstd stage that reads Pieces holds the text in one more mapping, whose
+    pages it releases behind its window as it encodes and which goes before
+    the stage returns."""
     length = crc = 0
 
     def tally(piece):
@@ -158,7 +164,14 @@ def compress_pipeline(spec: PipelineSpec, data) -> bytes:
     if isinstance(data, io.IOBase):
         left = _bytes_left(data)
         if left > 0 and spec.first in PIECEWISE:
-            data = Pieces(left, map(tally, iter(partial(data.read, SINK_CHUNK), b"")))
+            read = data.readinto
+
+            def readinto(buffer) -> int:
+                got = read(buffer)
+                tally(memoryview(buffer)[:got])
+                return got
+
+            data = Pieces(left, readinto)
         else:
             data = tally(data.read())
     else:

@@ -541,28 +541,29 @@ def test_cli_decompress_unreadable_input_is_runtime_error(runner, tmp_path):
 
 def test_cli_compress_read_failure_midway_is_runtime_error(monkeypatch, runner, tmp_path,
                                                            small_corpus):
-    # a Brotli chain reads INPUT in pieces as it encodes; a read that fails
-    # after the first piece is reported as INPUT's, not as the encoder's
+    # a Brotli or Zstd chain reads INPUT in pieces as it encodes; a read that
+    # fails after the first piece is reported as INPUT's, not as the encoder's
     class FailingAfterFirstPiece(io.FileIO):
-        def read(self, size=-1):
+        def readinto(self, buffer):
             if self.tell():
                 raise OSError(errno.EIO, "Input/output error")
-            return super().read(size)
+            return super().readinto(buffer)
 
     monkeypatch.setattr(cli_mod, "open", lambda path, mode: FailingAfterFirstPiece(path),
                         raising=False)
     src = tmp_path / "in.txt"
     src.write_bytes(small_corpus)
-    result = runner.invoke(main, ["compress", "-p", "Brotli", str(src), str(tmp_path / "o")])
-    assert result.exit_code == 1
-    assert result.output == f"Error: cannot read {src}: [Errno 5] Input/output error\n"
-    assert not (tmp_path / "o").exists()
+    for name in ("Brotli", "Zstd"):
+        result = runner.invoke(main, ["compress", "-p", name, str(src), str(tmp_path / "o")])
+        assert result.exit_code == 1, name
+        assert result.output == f"Error: cannot read {src}: [Errno 5] Input/output error\n"
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("length", [0, 1, SINK_CHUNK - 1, SINK_CHUNK, SINK_CHUNK + 1, 300_001])
 def test_cli_compress_writes_the_in_memory_container(runner, tmp_path, small_corpus, length):
-    # Brotli, LZMA and Bzip2 first stages read INPUT in SINK_CHUNK pieces, the
-    # others read it whole; every chain writes compress_pipeline's bytes
+    # every first stage but LZ4HC reads INPUT in SINK_CHUNK pieces, LZ4HC
+    # reads it whole; every chain writes compress_pipeline's bytes
     text = (small_corpus * 3)[:length]
     src, out = tmp_path / "in.txt", tmp_path / "out.hybc"
     src.write_bytes(text)
@@ -604,6 +605,25 @@ def test_cli_compress_holds_no_piecewise_text(runner, tmp_path, small_corpus):
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == compress_pipeline(PipelineSpec(CodecId.BROTLI), text)
     assert peak < len(text) // 4, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("drift", [-1000, 1000])
+def test_cli_compress_zstd_input_of_another_length_fails_cleanly(monkeypatch, runner, tmp_path,
+                                                                small_corpus, drift):
+    # a Zstd chain refuses INPUT whose bytes are not its length up front, as
+    # when the file changes while it is read, and OUTPUT is left as it was
+    import hybc.pipeline as pipeline_mod
+
+    real = pipeline_mod._bytes_left
+    monkeypatch.setattr(pipeline_mod, "_bytes_left", lambda file: real(file) + drift)
+    src, out = tmp_path / "in.txt", tmp_path / "out.hybc"
+    src.write_bytes(small_corpus)
+    out.write_bytes(b"kept")
+    result = runner.invoke(main, ["compress", "-p", "Zstd+LZ4HC", str(src), str(out)])
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: zstd compress: text is not the {len(small_corpus) + drift} bytes pledged\n")
+    assert out.read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize("name", ["Brotli+LZ4HC", "Zstd"])

@@ -1,4 +1,5 @@
 import ctypes
+import io
 import lzma
 import os
 import random
@@ -53,6 +54,32 @@ def _zstd_frame_without_content_size(data: bytes) -> bytes:
         return dst.raw[:n]
     finally:
         lib.ZSTD_freeCCtx(cctx)
+
+
+def _zstd_declared_window(frame: bytes) -> int:
+    """The window a zstd frame's header declares, as ZSTD_getFrameHeader
+    reads it."""
+
+    class FrameHeader(ctypes.Structure):
+        _fields_ = [("frameContentSize", ctypes.c_ulonglong), ("windowSize", ctypes.c_ulonglong)] + [
+            (name, ctypes.c_uint) for name in ("blockSizeMax", "frameType", "headerSize", "dictID",
+                                               "checksumFlag", "_reserved1", "_reserved2")
+        ]
+
+    lib = ctypes.CDLL(_native._zstd._name)
+    lib.ZSTD_getFrameHeader.restype = ctypes.c_size_t
+    lib.ZSTD_getFrameHeader.argtypes = [ctypes.POINTER(FrameHeader), ctypes.c_char_p, ctypes.c_size_t]
+    header = FrameHeader()
+    assert lib.ZSTD_getFrameHeader(ctypes.byref(header), frame, len(frame)) == 0
+    return header.windowSize
+
+
+def _pieces(text: bytes, cut: int, length: int | None = None) -> _native.Pieces:
+    """text as Pieces of at most cut bytes each, claiming length bytes (by
+    default the text's)."""
+    source = io.BytesIO(text)
+    return _native.Pieces(len(text) if length is None else length,
+                          lambda buffer: source.readinto(memoryview(buffer)[:cut]))
 
 
 def _zstd_frame_declaring(size: int) -> bytes:
@@ -294,17 +321,14 @@ def test_streamed_zstd_decoder_allocation_failure(monkeypatch):
 def test_piecewise_stream_does_not_depend_on_the_cut(codec, cut, small_corpus):
     # 3 x 64 KiB, so the last piece is a whole one for one cut, short for two
     text = small_corpus[: 3 << 16]
-    pieces = [text[i:i + cut] for i in range(0, len(text), cut)]
-    assert compress_one(codec, _native.Pieces(len(text), pieces)) == compress_one(codec, text)
+    assert compress_one(codec, _pieces(text, cut)) == compress_one(codec, text)
 
 
 def test_brotli_text_ending_on_a_metablock_does_not_depend_on_the_cut(large_text):
     # Brotli ends a metablock at each 8 MiB of input, so a text of 8 MiB gets
     # other bytes unless its last piece goes in with the finish operation
     assert len(large_text) == 8 << 20
-    pieces = [large_text[i:i + _native.SINK_CHUNK]
-              for i in range(0, len(large_text), _native.SINK_CHUNK)]
-    assert compress_one(CodecId.BROTLI, _native.Pieces(len(large_text), pieces)) == (
+    assert compress_one(CodecId.BROTLI, _pieces(large_text, _native.SINK_CHUNK)) == (
         compress_one(CodecId.BROTLI, large_text))
 
 
@@ -314,10 +338,10 @@ def test_native_encoders_write_compress_ones_streams(text, request):
     # codecs' presets, an LZ4HC block the stream without its length prefix
     text = request.getfixturevalue(text)
     zstd, brotli, lz4 = (codec_params(c) for c in (CodecId.ZSTD, CodecId.BROTLI, CodecId.LZ4HC))
-    assert bytes(_native.zstd_compress(text, zstd.level)) == compress_one(CodecId.ZSTD, text)
     cut = _native.SINK_CHUNK
-    pieces = _native.Pieces(len(text), [text[i:i + cut] for i in range(0, len(text), cut)])
-    for data in (text, pieces):
+    for data in (text, _pieces(text, cut)):
+        assert bytes(_native.zstd_compress(data, zstd.level)) == compress_one(CodecId.ZSTD, text)
+    for data in (text, _pieces(text, cut)):
         assert bytes(_native.brotli_compress(data, brotli.level, brotli.window_log)) == (
             compress_one(CodecId.BROTLI, text))
     stream = compress_one(CodecId.LZ4HC, text)
@@ -327,6 +351,7 @@ def test_native_encoders_write_compress_ones_streams(text, request):
 
 
 @pytest.mark.parametrize("codec, message", [
+    (CodecId.ZSTD, r"^zstd compress: text is not the 10 bytes pledged$"),
     (CodecId.BROTLI, r"^brotli compress: stream longer than its bound$"),
     (CodecId.LZMA, r"^LZMA encoder failed: data out of range$"),
     (CodecId.BZIP2, r"^Bzip2 encoder failed: data out of range$"),
@@ -334,9 +359,62 @@ def test_native_encoders_write_compress_ones_streams(text, request):
 def test_piecewise_stream_past_its_mapping_raises(codec, message, random_64k):
     # pieces longer than their declared length, as from a file that grew
     # while it was read, cannot write past the mapping sized by that length
-    pieces = _native.Pieces(10, [random_64k[:40_000], random_64k[40_000:]])
     with pytest.raises(CodecFailure, match=message):
-        compress_one(codec, pieces)
+        compress_one(codec, _pieces(random_64k, 40_000, length=10))
+
+
+@pytest.mark.parametrize("seed", [1, 42, 7])
+@pytest.mark.parametrize("size_class", list(SizeClass))
+def test_zstd_frame_does_not_depend_on_the_cut_or_the_source(size_class, seed, tmp_path):
+    # one stable-input ZSTD_compressStream2 loop gives ZSTD_compress's frame
+    # of the whole text, whether the text is in memory, cut into pieces or
+    # read from a file
+    text = generate_synthetic(size_class, seed)
+    frame = compress_one(CodecId.ZSTD, text)
+    for cut in (4095, _native.SINK_CHUNK, 1 << 20, len(text)):
+        assert compress_one(CodecId.ZSTD, _pieces(text, cut)) == frame, cut
+    path = tmp_path / "text"
+    path.write_bytes(text)
+    spec = PipelineSpec(CodecId.ZSTD)
+    with open(path, "rb") as file:
+        assert compress_pipeline(spec, file) == compress_pipeline(spec, text)
+
+
+@pytest.mark.parametrize("length", [0, 1, 4095, _native.SINK_CHUNK, _native.SINK_CHUNK + 1,
+                                    2 * _native.SINK_CHUNK])
+def test_zstd_frame_of_short_pieces(length, small_corpus):
+    # a text ending on a whole 128 KiB block ends the frame with that block,
+    # as ZSTD_compress writes it, not with an empty one after it
+    text = (small_corpus * 2)[:length]
+    assert len(text) == length
+    frame = compress_one(CodecId.ZSTD, text)
+    for cut in (1, 4095, _native.SINK_CHUNK, max(length, 1)):
+        assert compress_one(CodecId.ZSTD, _pieces(text, cut)) == frame, cut
+
+
+@pytest.mark.parametrize("period", [(2 << 20) - 4096, (2 << 20) - 1, 2 << 20, (2 << 20) + 1])
+def test_zstd_pieces_keep_the_window_in_reach(period):
+    # a random burst recurs once a period, in zeros, so the frame is short
+    # only where the burst's last copy is within the 2 MiB window; a page
+    # released while still in reach would read as zeros and give another frame
+    burst = random.Random(5).randbytes(256 << 10)
+    text = (burst + bytes(period - len(burst))) * 4
+    assert _native._zstd_window(codec_params(CodecId.ZSTD).level, len(text)) == 2 << 20
+    frame = compress_one(CodecId.ZSTD, text)
+    assert (len(frame) < 2 * len(burst)) == (period <= 2 << 20)
+    for cut in (4095, _native.SINK_CHUNK, 1 << 20):
+        assert compress_one(CodecId.ZSTD, _pieces(text, cut)) == frame, cut
+
+
+def test_zstd_release_window_covers_the_declared_window():
+    # the encoder releases the text's pages behind the window libzstd's
+    # parameters give for the text's length, which must reach at least as far
+    # back as the window the frame declares for it
+    level = codec_params(CodecId.ZSTD).level
+    lengths = {0, 1, 255, 256, 257} | {(1 << k) + d for k in range(10, 25) for d in (-1, 0, 1)}
+    for n in sorted(lengths):
+        frame = compress_one(CodecId.ZSTD, bytes(n))
+        assert _native._zstd_window(level, n) >= _zstd_declared_window(frame), n
 
 
 def test_unmappable_stream_bound_raises_codec_failure(monkeypatch):
@@ -372,14 +450,23 @@ def test_native_codec_failure_passes_through_unwrapped(monkeypatch):
     assert caught.value is failure
 
 
-# (size_t)-ZSTD_error_memory_allocation: an error code, as ZSTD_isError sees it
+# (size_t)-ZSTD_error_memory_allocation and (size_t)-ZSTD_error_parameter_unsupported:
+# error codes, as ZSTD_isError sees them
 _ZSTD_ALLOCATION_ERROR = 2**64 - 64
+_ZSTD_UNSUPPORTED_PARAMETER = 2**64 - 40
 
 
 @pytest.mark.parametrize("codec, decode, target, name, fake, message", [
-    pytest.param(CodecId.ZSTD, False, _native._zstd, "ZSTD_compress",
+    pytest.param(CodecId.ZSTD, False, _native._zstd, "ZSTD_compressStream2",
                  lambda *args: _ZSTD_ALLOCATION_ERROR,
                  r"^zstd compress: Allocation error", id="zstd-compress-error"),
+    pytest.param(CodecId.ZSTD, False, _native._zstd, "ZSTD_createCCtx",
+                 lambda: None,
+                 r"^zstd: cannot allocate encoder$", id="zstd-encoder-null"),
+    pytest.param(CodecId.ZSTD, False, _native._zstd, "ZSTD_CCtx_setParameter",
+                 lambda *args: _ZSTD_UNSUPPORTED_PARAMETER,
+                 r"^zstd compress: Unsupported parameter \(ZSTD_CCtx_setParameter\)$",
+                 id="zstd-set-parameter-error"),
     pytest.param(CodecId.BROTLI, False, _native._brenc, "BrotliEncoderCompressStream",
                  lambda *args: 0,
                  r"^brotli compress: encoder reported failure$", id="brotli-compress-failure"),

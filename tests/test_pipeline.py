@@ -17,6 +17,7 @@ from hybc import _native
 from hybc.codecs import CodecId, codec_params, compress_one, library_versions, stream_bound
 from hybc.errors import (
     BadMagic,
+    CodecFailure,
     CorruptStream,
     HybcError,
     IntegrityMismatch,
@@ -274,7 +275,8 @@ def test_compress_holds_the_container_once(name, large_text):
 @pytest.mark.parametrize("name", ["Zstd", "LZ4HC"])
 def test_compress_lets_a_text_read_whole_go_early(name, tmp_path, large_text):
     # the text read from the file is let go once the first stage has encoded
-    # it, so the text and the container are never held together
+    # it, so the text and the container are never held together (a Zstd
+    # stage reads the file in pieces into a mapping, off the traced heap)
     path = tmp_path / "text"
     path.write_bytes(large_text[: 4 << 20])
     tracemalloc.start()
@@ -285,6 +287,88 @@ def test_compress_lets_a_text_read_whole_go_early(name, tmp_path, large_text):
     finally:
         tracemalloc.stop()
     assert peak < (4 << 20) + len(container) / 2, f"peak {peak} B, container {len(container)} B"
+
+
+# Compresses the file at argv[1] with the chain named argv[2] and prints the
+# container's length, then how far the peak RSS grew during the call, in KiB;
+# it forks at once for the reason _REJECTED_DECODE_PEAK gives.
+_COMPRESS_PEAK = """
+import os, sys
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import resource
+from hybc.pipeline import compress_pipeline, pipeline_from_name
+spec = pipeline_from_name(sys.argv[2])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with open(sys.argv[1], "rb") as text:
+    container = compress_pipeline(spec, text)
+print(len(container))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("name", ["Zstd", "Zstd+LZ4HC"])
+def test_zstd_first_compress_holds_a_window_not_the_text(name, tmp_path, large_text):
+    # a Zstd first stage reads a regular file in pieces into a mapping whose
+    # pages it releases behind its window, so beyond the stream the peak RSS
+    # grows by about as much for a 24 MiB text as for a 12 MiB one; reading
+    # the text whole would add the 12 MiB between them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    beyond_stream = []
+    for size in (12 << 20, 24 << 20):
+        path = tmp_path / f"text{size}"
+        path.write_bytes((large_text * 3)[:size])
+        proc = subprocess.run(
+            [sys.executable, "-c", _COMPRESS_PEAK, str(path), name],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        length, grown_kib = map(int, proc.stdout.split())
+        beyond_stream.append((grown_kib << 10) - length)
+    assert beyond_stream[1] - beyond_stream[0] < 2 << 20, f"beyond the stream: {beyond_stream} B"
+
+
+@pytest.mark.parametrize("drift", [-1000, 1000])
+@pytest.mark.parametrize("name", ["Zstd", "Zstd+LZ4HC"])
+def test_zstd_first_compress_refuses_a_file_of_another_length(monkeypatch, tmp_path, small_corpus,
+                                                              name, drift):
+    # a file whose bytes are not the length it had up front, as one that
+    # changes while it is read, gets no container whose header could
+    # disagree with its stream
+    import hybc.pipeline as pipeline_mod
+
+    real = pipeline_mod._bytes_left
+    monkeypatch.setattr(pipeline_mod, "_bytes_left", lambda file: real(file) + drift)
+    path = tmp_path / "text"
+    path.write_bytes(small_corpus)
+    message = rf"^zstd compress: text is not the {len(small_corpus) + drift} bytes pledged$"
+    with open(path, "rb") as file, pytest.raises(CodecFailure, match=message):
+        compress_pipeline(pipeline_from_name(name), file)
+
+
+@pytest.mark.parametrize("name", ["Brotli", "LZMA", "Bzip2"])
+def test_other_piecewise_stages_encode_what_they_read(monkeypatch, tmp_path, small_corpus,
+                                                      random_64k, name):
+    # Brotli, LZMA and Bzip2 encode the bytes they read and the header counts
+    # them, so a length up front that is off by a little gives the same
+    # container; a file that grows far past it runs past the mapping that
+    # length sized
+    import hybc.pipeline as pipeline_mod
+
+    spec = pipeline_from_name(name)
+    real = pipeline_mod._bytes_left
+    path = tmp_path / "text"
+    path.write_bytes(small_corpus)
+    for drift in (-1000, 1000):
+        monkeypatch.setattr(pipeline_mod, "_bytes_left", lambda file: real(file) + drift)
+        with open(path, "rb") as file:
+            assert compress_pipeline(spec, file) == compress_pipeline(spec, small_corpus), drift
+    path.write_bytes(random_64k)
+    monkeypatch.setattr(pipeline_mod, "_bytes_left", lambda file: 10)
+    with open(path, "rb") as file, pytest.raises(CodecFailure):
+        compress_pipeline(spec, file)
 
 
 @pytest.fixture
@@ -301,10 +385,13 @@ def mappings(monkeypatch):
     return made
 
 
-def test_compress_maps_once_per_stage_and_keeps_no_mapping(mappings, small_corpus, monkeypatch):
-    # every encoder maps its own stream through _native.mapping; a hybrid's
-    # first mapping goes once the second stage has encoded it, before the
-    # header is joined to the last stream, and the last once it is joined
+def test_compress_maps_once_per_stage_and_keeps_no_mapping(mappings, small_corpus, monkeypatch,
+                                                           tmp_path):
+    # every encoder maps its own stream through _native.mapping, and a Zstd
+    # stage that reads a file in pieces one more for the text; the text's
+    # mapping goes once its stage has encoded it, a hybrid's first mapping
+    # once the second stage has, before the header is joined to the last
+    # stream, and the last once it is joined
     import hybc.pipeline as pipeline_mod
 
     alive_at_header = []
@@ -315,14 +402,22 @@ def test_compress_maps_once_per_stage_and_keeps_no_mapping(mappings, small_corpu
 
     monkeypatch.setattr(pipeline_mod, "serialize_header", header)
     text = small_corpus[:20_000]
+    path = tmp_path / "text"
+    path.write_bytes(text)
     for spec in enumerate_pipelines():
-        mappings.clear()
-        alive_at_header.clear()
-        container = compress_pipeline(spec, text)
-        assert len(mappings) == len(spec.codecs), spec.display_name
-        assert alive_at_header == [1], spec.display_name
-        assert [ref() for ref in mappings] == [None] * len(spec.codecs), spec.display_name
-        assert decompress_pipeline(container) == text
+        for from_file in (False, True):
+            mappings.clear()
+            alive_at_header.clear()
+            if from_file:
+                with open(path, "rb") as file:
+                    container = compress_pipeline(spec, file)
+            else:
+                container = compress_pipeline(spec, text)
+            made = len(spec.codecs) + (from_file and spec.first is CodecId.ZSTD)
+            assert len(mappings) == made, (spec.display_name, from_file)
+            assert alive_at_header == [1], (spec.display_name, from_file)
+            assert [ref() for ref in mappings] == [None] * made, (spec.display_name, from_file)
+            assert decompress_pipeline(container) == text
 
 
 @pytest.mark.parametrize("codec", list(CodecId))
