@@ -11,6 +11,7 @@ modules (and json, csv and statistics) with it.
 """
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -55,11 +56,69 @@ def _read_bytes(path: str) -> bytes:
         raise click.ClickException(f"cannot read {path}: {exc}") from exc
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+class _Staged:
+    """A file with no name in the directory of path, open "w+b" as `file`.
+    Where the system and file system take one (Linux's O_TMPFILE), link()
+    names it path, so a new path appears whole or not at all; elsewhere
+    `file` is a tempfile.TemporaryFile, which link() never names, or, with
+    fallback false, None. Its mode is 0o666 less the umask, as
+    open(path, "wb") gives."""
+
+    def __init__(self, path: str, fallback: bool = True):
+        directory = Path(path).parent
+        # A path ending in a separator has no basename, and so is never linked.
+        self._name = os.path.basename(path)
+        self._dir = None
+        self.file = None
+        unnamed, dir_path = getattr(os, "O_TMPFILE", None), getattr(os, "O_PATH", None)
+        if unnamed is not None and dir_path is not None:
+            self._dir = os.open(directory, dir_path | os.O_DIRECTORY)
+            try:
+                self.file = open(os.open(".", unnamed | os.O_RDWR, 0o666, dir_fd=self._dir), "w+b")
+            except OSError:
+                os.close(self._dir)
+                self._dir = None
+        if self.file is None and fallback:
+            self.file = tempfile.TemporaryFile(dir=directory)
+
+    def __enter__(self) -> _Staged:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            if self.file is not None:
+                self.file.close()
+        finally:
+            if self._dir is not None:
+                os.close(self._dir)
+
+    def link(self) -> bool:
+        """Name the file path; False where it cannot be, as where path exists."""
+        if self._dir is None:
+            return False
+        self.file.flush()
+        try:
+            # linkat(2) with AT_SYMLINK_FOLLOW, which a dir fd makes os.link
+            # use: link(2) refuses /proc's link to the file with EXDEV.
+            os.link(f"/proc/self/fd/{self.file.fileno()}", self._name, dst_dir_fd=self._dir)
+        except OSError:
+            return False
+        return True
+
+
+def _write_new(path: str, data: bytes) -> bool:
+    """Write data to a file with no name and link it in as path; False, with
+    nothing written, where the directory takes no such file, and False where
+    path exists by the time of the link."""
     try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise click.ClickException(f"cannot write {path}: {exc}") from exc
+        staged = _Staged(path, fallback=False)
+    except OSError:
+        return False
+    with staged:
+        if staged.file is None:
+            return False
+        staged.file.write(data)
+        return staged.link()
 
 
 class _Group(click.Group):
@@ -95,8 +154,9 @@ def main() -> None:
 def compress(input_path: str, output_path: str, pipeline_name: str) -> None:
     """Compress INPUT into a self-describing container at OUTPUT."""
     spec = _parse_pipeline(pipeline_name)
-    # INPUT is closed, and OUTPUT opened, only once the container is complete,
+    # INPUT is closed, and OUTPUT written, only once the container is complete,
     # so INPUT may be OUTPUT and a failure before then leaves OUTPUT as it was.
+    # A new OUTPUT is linked in whole; an existing one is written in place.
     try:
         with open(input_path, "rb") as text:
             container = compress_pipeline(spec, text)
@@ -104,7 +164,11 @@ def compress(input_path: str, output_path: str, pipeline_name: str) -> None:
         raise click.ClickException(f"cannot read {input_path}: {exc}") from exc
     except HybcError as exc:
         raise click.ClickException(str(exc)) from exc
-    _write_bytes(output_path, container)
+    try:
+        if os.path.lexists(output_path) or not _write_new(output_path, container):
+            Path(output_path).write_bytes(container)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
     original = parse_header(container).original_len
     click.echo(f"pipeline:   {spec.display_name}")
     click.echo(f"original:   {original} bytes")
@@ -119,21 +183,25 @@ def decompress(input_path: str, output_path: str) -> None:
     """Restore the original bytes from a container; the header alone names
     the codec chain, so no pipeline argument is needed."""
     # The text is staged in an unnamed file beside OUTPUT, so only the codec's
-    # window is held in memory, and copied into OUTPUT once it is verified, so
-    # a failure before then leaves OUTPUT as it was (a failed copy, partial).
+    # window is held in memory, and put at OUTPUT once it is verified, so a
+    # failure before then leaves OUTPUT as it was: a new OUTPUT is the staged
+    # file linked in, an existing one is copied into (a failed copy, partial).
     try:
-        with tempfile.TemporaryFile(dir=Path(output_path).parent) as staged:
+        with _Staged(output_path) as staged:
             try:
-                restored = decompress_pipeline(_read_bytes(input_path), staged.write)
+                restored = decompress_pipeline(_read_bytes(input_path), staged.file.write)
             except HybcError as exc:
                 raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-            staged.seek(0)
-            with open(output_path, "wb") as out:
-                shutil.copyfileobj(staged, out)
+            if not staged.link():
+                staged.file.seek(0)
+                with open(output_path, "wb") as out:
+                    shutil.copyfileobj(staged.file, out)
     except OSError as exc:
         raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
     click.echo(f"restored {restored} bytes (integrity verified)")
 
 
-if __name__ == "__main__":
-    main()
+if __name__ == "__main__":  # python -m hybc.cli, the older spelling of python -m hybc
+    from .__main__ import run
+
+    run()

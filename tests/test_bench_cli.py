@@ -475,6 +475,102 @@ def test_lazy_namespace_binds_every_public_name():
     assert _child(_LAZY_NAMESPACE) == "ok\n"
 
 
+def _console_scripts() -> dict[str, str]:
+    """pyproject.toml's [project.scripts], read line by line: tomllib is new
+    in Python 3.11, and hybc runs on 3.10."""
+    scripts, section = {}, None
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    for line in pyproject.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, _, target = line.partition("=")
+            scripts[name.strip()] = target.strip().strip('"')
+    return scripts
+
+
+# Runs hybc as `python -m hybc` does ("-m") or as a console script naming
+# "module:function" does, and reports the collector's frozen objects at exit.
+_FROZEN_AT_EXIT = """
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+how, sys.argv = sys.argv[1], ["hybc", *sys.argv[2:]]
+if how.startswith("-m "):
+    runpy.run_module(how[3:], run_name="__main__", alter_sys=True)
+else:
+    module, _, name = how.partition(":")
+    getattr(importlib.import_module(module), name)()
+"""
+
+
+def test_one_entry_point_freezes_the_import_time_heap():
+    """The installed script, `python -m hybc` and its older spelling
+    `python -m hybc.cli` all run hybc.__main__.run, which freezes what
+    importing the CLI built before the command runs."""
+    scripts = _console_scripts()
+    assert scripts == {"hybc": "hybc.__main__:run"}
+    for how in ("-m hybc", "-m hybc.cli", scripts["hybc"]):
+        out = _child(_FROZEN_AT_EXIT, how, "--version").splitlines()
+        assert out[0] == "hybc, version 0.1.0", how
+        label, count = out[-1].split()
+        assert label == "frozen" and int(count) > 0, how
+
+
+_IN_PROCESS_FREEZE = """
+import gc, sys
+from hybc.cli import main
+main(sys.argv[1:], standalone_mode=False)
+print("frozen", gc.get_freeze_count())
+"""
+
+
+def test_in_process_main_freezes_nothing(tmp_path, tiny_text):
+    """hybc.cli.main called in a caller's own process, as the CliRunner tests
+    and the traced benchmark call it, leaves the collector as it was."""
+    text = tmp_path / "in.txt"
+    text.write_bytes(tiny_text)
+    out = _child(_IN_PROCESS_FREEZE, "compress", "-p", "Zstd", text, tmp_path / "o.hybc")
+    assert out.splitlines()[-1] == "frozen 0"
+
+
+_LEAKS_A_FILE = """
+import sys
+import hybc.cli as cli
+from hybc.__main__ import run
+
+container, output, cycle = sys.argv[1:]
+
+def leaky(data, write):
+    held = [open(container, "rb")]
+    if cycle == "cycle":
+        held.append(held)  # only the collector can close it
+    return 0
+
+cli.decompress_pipeline = leaky
+sys.argv = ["hybc", "decompress", container, output]
+run()
+"""
+
+
+@pytest.mark.parametrize("cycle", ["cycle", "no-cycle"])
+def test_freezing_hides_no_leak(tmp_path, cycle):
+    """A file the command opens and drops still warns under -X dev once the
+    import-time heap is frozen, in a reference cycle too, so the
+    closes_what_it_opens tests still catch a leak."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    container = tmp_path / "in.hybc"
+    container.write_bytes(b"")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _LEAKS_A_FILE,
+         str(container), str(tmp_path / "o"), cycle],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning: unclosed file <_io." in proc.stderr, proc.stderr
+    assert f"name='{container}'" in proc.stderr, proc.stderr
+
+
 def test_cli_compress_decompress_round_trip(runner, tmp_path, tiny_text):
     src = tmp_path / "in.txt"
     src.write_bytes(tiny_text)
@@ -720,7 +816,7 @@ def _payload_flipped(valid: bytes) -> bytes:
 _ZSTD = PipelineSpec(CodecId.ZSTD)
 
 
-@pytest.mark.parametrize(
+_HOSTILE = pytest.mark.parametrize(
     "spec, hostile, error",
     [
         (_ZSTD, _bomb, "CorruptStream"),
@@ -733,6 +829,9 @@ _ZSTD = PipelineSpec(CodecId.ZSTD)
     ids=["bomb", "truncated", "bad-magic", "crc-flip", "brotli-lz4hc-crc-flip",
          "zstd-payload-flip"],
 )
+
+
+@_HOSTILE
 def test_cli_decompress_failure_leaves_existing_output(runner, tmp_path, tiny_text,
                                                         spec, hostile, error):
     """A rejected container never writes OUTPUT: the file already there keeps
@@ -794,6 +893,202 @@ def test_cli_decompress_output_directory_must_take_a_new_file(monkeypatch, runne
     assert result.output.startswith(f"Error: cannot write {output}: ")
     assert len(result.output.splitlines()) == 1
     assert decodes == []
+
+
+@_HOSTILE
+def test_cli_decompress_failure_leaves_no_new_output(runner, tmp_path, tiny_text,
+                                                     spec, hostile, error):
+    """A rejected container names no file: the unnamed staged file is never
+    linked in, so OUTPUT's directory stays empty."""
+    container = tmp_path / "in.hybc"
+    container.write_bytes(hostile(compress_pipeline(spec, tiny_text)))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    result = runner.invoke(main, ["decompress", str(container), str(out_dir / "o")])
+    assert result.exit_code == 1
+    assert error in result.output
+    assert list(out_dir.iterdir()) == []
+
+
+def _staged_inodes(monkeypatch) -> list[int]:
+    """The inode of each file `hybc decompress` stages its text in."""
+    inodes = []
+    real = cli_mod.decompress_pipeline
+
+    def spy(data, write):
+        inodes.append(os.fstat(write.__self__.fileno()).st_ino)
+        return real(data, write)
+
+    monkeypatch.setattr(cli_mod, "decompress_pipeline", spy)
+    return inodes
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_cli_new_output_is_the_staged_file_linked_in(monkeypatch, runner, tmp_path, tiny_text,
+                                                     umask):
+    """A new OUTPUT is the verified staged file given a name, not a copy of it:
+    same inode, one link, and the mode open(OUTPUT, "wb") would give it.
+    `hybc compress` gives a new OUTPUT the same mode."""
+    inodes = _staged_inodes(monkeypatch)
+    src, packed, restored = tmp_path / "in.txt", tmp_path / "o.hybc", tmp_path / "o.txt"
+    src.write_bytes(tiny_text)
+    was = os.umask(umask)
+    try:
+        assert runner.invoke(main, ["compress", "-p", "Zstd", str(src), str(packed)]).exit_code == 0
+        result = runner.invoke(main, ["decompress", str(packed), str(restored)])
+    finally:
+        os.umask(was)
+    assert result.exit_code == 0, result.output
+    assert restored.read_bytes() == tiny_text
+    assert packed.read_bytes() == compress_pipeline(_ZSTD, tiny_text)
+    stat = restored.stat()
+    assert [stat.st_ino] == inodes
+    assert stat.st_nlink == 1
+    for path in (packed, restored):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "o.hybc", "o.txt"]
+
+
+def test_cli_existing_output_is_written_in_place(monkeypatch, runner, tmp_path, tiny_text):
+    """An existing OUTPUT keeps its inode and mode, and a hard link to it sees
+    the new bytes, for both commands."""
+    src, packed = tmp_path / "in.txt", tmp_path / "in.hybc"
+    src.write_bytes(tiny_text)
+    packed.write_bytes(compress_pipeline(_ZSTD, tiny_text))
+    for command, argv, expected in [
+        ("compress", ["-p", "Zstd", str(src)], packed.read_bytes()),
+        ("decompress", [str(packed)], tiny_text),
+    ]:
+        output, alias = tmp_path / f"{command}.out", tmp_path / f"{command}.alias"
+        output.write_bytes(b"old")
+        output.chmod(0o640)
+        os.link(output, alias)
+        before = output.stat()
+        result = runner.invoke(main, [command, *argv, str(output)])
+        assert result.exit_code == 0, result.output
+        after = output.stat()
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (
+            before.st_ino, before.st_mode, 2), command
+        assert output.read_bytes() == alias.read_bytes() == expected, command
+
+
+@pytest.mark.parametrize("dangling", [False, True], ids=["to-a-file", "dangling"])
+def test_cli_symlinked_output_is_written_through(runner, tmp_path, tiny_text, dangling):
+    """OUTPUT naming a symlink stays a symlink; the file it points to, made
+    where it is missing, takes the bytes, for both commands."""
+    src, packed = tmp_path / "in.txt", tmp_path / "in.hybc"
+    src.write_bytes(tiny_text)
+    packed.write_bytes(compress_pipeline(_ZSTD, tiny_text))
+    for command, argv, expected in [
+        ("compress", ["-p", "Zstd", str(src)], packed.read_bytes()),
+        ("decompress", [str(packed)], tiny_text),
+    ]:
+        output, target = tmp_path / f"{command}.link", tmp_path / f"{command}.target"
+        if not dangling:
+            target.write_bytes(b"old")
+        output.symlink_to(target.name)
+        result = runner.invoke(main, [command, *argv, str(output)])
+        assert result.exit_code == 0, result.output
+        assert output.is_symlink(), command
+        assert target.read_bytes() == expected, command
+
+
+@pytest.mark.parametrize("refused", ["O_TMPFILE", "link", "no-flags"])
+def test_cli_new_output_falls_back_where_it_cannot_be_linked(monkeypatch, runner, tmp_path,
+                                                              tiny_text, refused):
+    """Where the file system refuses an unnamed file, the link to it fails
+    (ENOENT: no /proc), or the system has no O_TMPFILE and O_PATH (they are
+    Linux's), both commands still write OUTPUT, and leave no other name
+    beside it. `hybc decompress` then stages in a TemporaryFile; `hybc
+    compress` stages nothing and writes OUTPUT in place."""
+    real_open = os.open
+
+    def no_tmpfile(path, flags, *args, **kwargs):
+        if flags & os.O_TMPFILE == os.O_TMPFILE:
+            raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+        return real_open(path, flags, *args, **kwargs)
+
+    def no_link(*args, **kwargs):
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
+
+    if refused == "O_TMPFILE":
+        monkeypatch.setattr(os, "open", no_tmpfile)
+    elif refused == "link":
+        monkeypatch.setattr(os, "link", no_link)
+    else:
+        # hybc.cli's view of os only: tempfile uses O_TMPFILE on Linux.
+        class NoFlags:
+            def __getattr__(self, name):
+                if name in ("O_TMPFILE", "O_PATH"):
+                    raise AttributeError(name)
+                return getattr(os, name)
+
+        monkeypatch.setattr(cli_mod, "os", NoFlags())
+    temporary_files = []
+    real_temporary_file = cli_mod.tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        temporary_files.append(kwargs)
+        return real_temporary_file(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.tempfile, "TemporaryFile", counted)
+    src = tmp_path / "in.txt"
+    src.write_bytes(tiny_text)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    packed, restored = out_dir / "o.hybc", out_dir / "o.txt"
+    assert runner.invoke(main, ["compress", "-p", "Zstd", str(src), str(packed)]).exit_code == 0
+    assert temporary_files == []
+    result = runner.invoke(main, ["decompress", str(packed), str(restored)])
+    assert result.exit_code == 0, result.output
+    assert len(temporary_files) == (refused != "link")
+    assert packed.read_bytes() == compress_pipeline(_ZSTD, tiny_text)
+    assert restored.read_bytes() == tiny_text
+    assert sorted(p.name for p in out_dir.iterdir()) == ["o.hybc", "o.txt"]
+
+
+def test_cli_compress_output_in_a_missing_directory_fails_cleanly(runner, tmp_path, tiny_text):
+    # no unnamed file can be made there, so OUTPUT is opened in place, which
+    # names the error as it always has
+    src, output = tmp_path / "in.txt", tmp_path / "missing" / "o.hybc"
+    src.write_bytes(tiny_text)
+    result = runner.invoke(main, ["compress", "-p", "Zstd", str(src), str(output)])
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: cannot write {output}: [Errno 2] No such file or directory: '{output}'\n")
+
+
+_FILE_SIZE_LIMITED = """
+import resource, signal, sys
+from hybc.__main__ import run
+
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.argv = ["hybc", *sys.argv[1:]]
+run()
+"""
+
+
+def test_cli_compress_failed_write_leaves_no_new_output(tmp_path, small_corpus):
+    """With files capped at 4096 bytes, a container too long to write makes
+    `hybc compress` exit 1: a new OUTPUT, written unnamed, is never linked in;
+    an existing one, written in place, is left partial."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    text = tmp_path / "in.txt"
+    text.write_bytes(small_corpus)
+    assert len(compress_pipeline(_ZSTD, small_corpus)) > 4096
+    existing = tmp_path / "existing.hybc"
+    existing.write_bytes(b"partial")
+    for output in (tmp_path / "new.hybc", existing):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FILE_SIZE_LIMITED, "compress", "-p", "Zstd", str(text),
+             str(output)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"Error: cannot write {output}: [Errno 27] "), proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.hybc", "in.txt"]
+    assert existing.stat().st_size == 4096
 
 
 def test_cli_bench_writes_reports(runner, three_corpora, tmp_path):
