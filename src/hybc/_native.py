@@ -11,13 +11,14 @@ kernel backs only where the library writes, writes its stream from the start
 and returns a memoryview of the bytes it wrote; the mapping goes when that
 view is released, or with the exception an encoder raises. A bound is 0
 where no stream of that input length can exist.
-LZ4_compress_HC reads its input whole. Zstd runs one ZSTD_compressStream2
-loop over a stable input buffer, which is a bytes-like input itself or a
-mapping that Pieces are read into, so a text gives ZSTD_compress's frame
-however it is cut. Brotli runs one BrotliEncoderCompressStream loop, which
-takes a bytes-like input as one piece and Pieces one at a time, with
-BrotliEncoderCompress's settings, so a text gives that function's stream
-however it is cut.
+LZ4_compress_HC reads its input whole. Zstd and Brotli also take Pieces, a
+file's text that counts the bytes it hands out. Zstd runs one
+ZSTD_compressStream2 loop over a stable input buffer, which is a bytes-like
+input itself or a mapping that Pieces are read into, so a text gives
+ZSTD_compress's frame however it is cut. Brotli runs one
+BrotliEncoderCompressStream loop, which takes a bytes-like input as one
+piece and Pieces one at a time, with BrotliEncoderCompress's settings, so a
+text gives that function's stream however it is cut.
 
 A decoder takes an optional cap, the most bytes its output may hold. Where a
 stream declares its decoded size (the zstd frame header, the LZ4HC length
@@ -150,19 +151,26 @@ class _Pinned:
 
 
 class Pieces:
-    """A text as an encoder that takes pieces reads it: its length up front,
-    as len(), and readinto(buffer), which writes the text's next bytes into
-    a writable buffer and returns their count, 0 once the text has ended.
-    Iterating it reads the text once, in pieces of at most SINK_CHUNK bytes,
-    each in a buffer of its own."""
+    """A text in an open binary file, as an encoder that takes pieces reads
+    it: its length up front, as len(), and readinto(buffer), which reads the
+    text's next bytes into a writable buffer and returns their count, 0 once
+    the text has ended. Pieces keeps the count and running CRC-32 of the
+    bytes read, as count and crc, for the container's header. Iterating it
+    reads the text once, through readinto, in pieces of at most SINK_CHUNK
+    bytes, each in a buffer of its own."""
 
-    __slots__ = ("length", "readinto")
+    __slots__ = ("length", "count", "crc", "_read")
 
-    def __init__(self, length: int, readinto):
-        self.length, self.readinto = length, readinto
+    def __init__(self, length: int, file):
+        self.length, self.count, self.crc, self._read = length, 0, 0, file.readinto
 
     def __len__(self) -> int:
         return self.length
+
+    def readinto(self, buffer) -> int:
+        got = self._read(buffer)
+        self.count, self.crc = self.count + got, crc32(memoryview(buffer)[:got], self.crc)
+        return got
 
     def __iter__(self):
         while True:

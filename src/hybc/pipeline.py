@@ -138,10 +138,9 @@ def compress_pipeline(spec: PipelineSpec, data) -> bytes:
 
     data is a bytes-like object or a binary file open for reading. A regular
     file with bytes left, whose chain begins with a PIECEWISE codec (any but
-    LZ4HC), goes to that codec as _native.Pieces of the length left, which
-    the encoder reads with the file's readinto as it needs them, with a
-    running CRC-32 and byte count for the header; any other file is read
-    whole. Either way the container is compress_pipeline(spec, file.read())'s.
+    LZ4HC), goes to that codec as _native.Pieces of the length left, whose
+    count and CRC-32 the header records; any other file is read whole.
+    Either way the container is compress_pipeline(spec, file.read())'s.
     A Zstd first stage raises CodecFailure for a file whose bytes are not
     the length it had up front; the others encode what they read, up to
     what their stream's mapping holds.
@@ -154,29 +153,15 @@ def compress_pipeline(spec: PipelineSpec, data) -> bytes:
     Zstd stage that reads Pieces holds the text in one more mapping, whose
     pages it releases behind its window as it encodes and which goes before
     the stage returns."""
-    length = crc = 0
-
-    def tally(piece):
-        nonlocal length, crc
-        length, crc = length + len(piece), crc32(piece, crc)
-        return piece
-
     if isinstance(data, io.IOBase):
         left = _bytes_left(data)
-        if left > 0 and spec.first in PIECEWISE:
-            read = data.readinto
-
-            def readinto(buffer) -> int:
-                got = read(buffer)
-                tally(memoryview(buffer)[:got])
-                return got
-
-            data = Pieces(left, readinto)
-        else:
-            data = tally(data.read())
-    else:
-        tally(data)
+        data = Pieces(left, data) if left > 0 and spec.first in PIECEWISE else data.read()
+    pieces = isinstance(data, Pieces)
+    if not pieces:
+        length, crc = len(data), crc32(data)
     stream = encode(spec.first, data)
+    if pieces:
+        length, crc = data.count, data.crc
     del data
     if spec.second is not None:
         with stream as first:

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -78,8 +79,8 @@ def _pieces(text: bytes, cut: int, length: int | None = None) -> _native.Pieces:
     """text as Pieces of at most cut bytes each, claiming length bytes (by
     default the text's)."""
     source = io.BytesIO(text)
-    return _native.Pieces(len(text) if length is None else length,
-                          lambda buffer: source.readinto(memoryview(buffer)[:cut]))
+    file = SimpleNamespace(readinto=lambda buffer: source.readinto(memoryview(buffer)[:cut]))
+    return _native.Pieces(len(text) if length is None else length, file)
 
 
 def _zstd_frame_declaring(size: int) -> bytes:
@@ -348,6 +349,27 @@ def test_native_encoders_write_compress_ones_streams(text, request):
     assert bytes(_native.lz4hc_compress_block(text, lz4.level)) == stream[8:]
     prefix = struct.pack("<Q", len(text))
     assert bytes(_native.lz4hc_compress_block(text, lz4.level, prefix)) == stream
+
+
+@pytest.mark.parametrize("cut", [1, 4095, _native.SINK_CHUNK - 1, _native.SINK_CHUNK, None])
+def test_pieces_count_exactly_what_they_hand_out(cut, small_corpus):
+    # the header records Pieces' count and CRC-32, so whether an encoder
+    # reads them with readinto or by iterating, both cover every byte handed
+    # out and no other; the text passes one SINK_CHUNK, but is short where it
+    # is read a byte at a time
+    text = small_corpus[: 10_000 if cut == 1 else _native.SINK_CHUNK + 4097]
+    cut = cut or len(text)
+    pieces = _pieces(text, cut)
+    buffer = bytearray(_native.SINK_CHUNK)
+    read = b"".join(bytes(buffer[:got]) for got in iter(lambda: pieces.readinto(buffer), 0))
+    iterated = _pieces(text, cut)
+    assert b"".join(iterated) == read == text
+    for drained in (pieces, iterated):
+        assert (drained.count, drained.crc) == (len(text), zlib.crc32(text))
+    # a file shorter than the length given up front counts what was read
+    short = _pieces(text[:1000], cut, length=len(text))
+    assert b"".join(short) == text[:1000]
+    assert (len(short), short.count, short.crc) == (len(text), 1000, zlib.crc32(text[:1000]))
 
 
 @pytest.mark.parametrize("codec, message", [
