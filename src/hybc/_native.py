@@ -11,14 +11,18 @@ kernel backs only where the library writes, writes its stream from the start
 and returns a memoryview of the bytes it wrote; the mapping goes when that
 view is released, or with the exception an encoder raises. A bound is 0
 where no stream of that input length can exist.
-LZ4_compress_HC reads its input whole. Zstd and Brotli also take Pieces, a
-file's text that counts the bytes it hands out. Zstd runs one
+A codec in codecs.PIECEWISE (any but LZ4HC) reads a regular file in pieces
+in both directions, as Pieces: compress_pipeline hands it the text, and
+decompress_pipeline the payload after the header. LZ4HC, pipes and file
+objects without a descriptor are read whole. Zstd and Brotli take Pieces
+here, and a bytes-like input as one piece. Zstd runs one
 ZSTD_compressStream2 loop over a stable input buffer, which is a bytes-like
 input itself or a mapping that Pieces are read into, so a text gives
 ZSTD_compress's frame however it is cut. Brotli runs one
-BrotliEncoderCompressStream loop, which takes a bytes-like input as one
-piece and Pieces one at a time, with BrotliEncoderCompress's settings, so a
-text gives that function's stream however it is cut.
+BrotliEncoderCompressStream loop, which takes Pieces one at a time, with
+BrotliEncoderCompress's settings, so a text gives that function's stream
+however it is cut. Each decoder reads Pieces one at a time into one buffer
+it reuses, so a stream costs its decoder's window, not its length.
 
 A decoder takes an optional cap, the most bytes its output may hold. Where a
 stream declares its decoded size (the zstd frame header, the LZ4HC length
@@ -52,7 +56,9 @@ only where the output goes:
 
 A decoder never sends more than the cap, or than a Zstd frame declares, and
 checks the total at the end, so a sink sees bytes before they are known to
-be right.
+be right. A bytes-like Zstd stream is checked to be exactly one frame before
+it is decoded; Pieces that end inside a stream, or run past its end, are
+refused with the same message once the decoder meets that end.
 
 crc32 is libdeflate's libdeflate_crc32, which folds with carry-less multiplies,
 or zlib.crc32 where no libdeflate loads; both compute the same CRC-32 and
@@ -151,13 +157,14 @@ class _Pinned:
 
 
 class Pieces:
-    """A text in an open binary file, as an encoder that takes pieces reads
-    it: its length up front, as len(), and readinto(buffer), which reads the
-    text's next bytes into a writable buffer and returns their count, 0 once
-    the text has ended. Pieces keeps the count and running CRC-32 of the
-    bytes read, as count and crc, for the container's header. Iterating it
-    reads the text once, through readinto, in pieces of at most SINK_CHUNK
-    bytes, each in a buffer of its own."""
+    """The bytes left in an open binary file, a text or a container's
+    payload, as a codec that takes pieces reads them: their length up front,
+    as len(), and readinto(buffer), which reads the next bytes into a
+    writable buffer and returns their count, 0 once the file has ended.
+    Pieces keeps the count and running CRC-32 of the bytes read, as count
+    and crc, for the container's header. Iterating it reads the bytes once,
+    through readinto, in pieces of at most SINK_CHUNK bytes, each in a
+    buffer of its own."""
 
     __slots__ = ("length", "count", "crc", "_read")
 
@@ -255,6 +262,7 @@ _ZSTD_E_END = 2
 
 # ZSTD_CONTENTSIZE_ERROR; ZSTD_CONTENTSIZE_UNKNOWN is the one value above it.
 _ZSTD_CONTENTSIZE_ERROR = 2**64 - 2
+_ZSTD_NOT_ONE_FRAME = "zstd: truncated frame or trailing bytes"
 
 # The largest chunk a decoder sends to a sink, the step of the LZMA and Bzip2
 # decoders, and the piece in which a file is read for an encoder that takes
@@ -350,11 +358,17 @@ def zstd_compress(data, level: int) -> memoryview:
 
 
 def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
-    """Decode data, which must be exactly one zstd frame declaring its size,
-    to at most cap bytes: into one bytearray, or, with a sink, in chunks
-    of at most SINK_CHUNK bytes sent to sink, returning their count."""
-    with _Pinned(data) as (src, n):
-        declared = _zstd.ZSTD_getFrameContentSize(src, n)
+    """Decode data, a bytes-like object or Pieces, which must be exactly one
+    zstd frame declaring its size, to at most cap bytes: into one bytearray,
+    or, with a sink, in chunks of at most SINK_CHUNK bytes sent to sink,
+    returning their count."""
+    n = len(data)
+    pieces = isinstance(data, Pieces)
+    piece = _new_bytearray(None, SINK_CHUNK) if pieces else data
+    with _Pinned(piece) as (src, size):
+        if pieces:
+            size = data.readinto(piece)
+        declared = _zstd.ZSTD_getFrameContentSize(src, size)
         if declared >= _ZSTD_CONTENTSIZE_ERROR:
             raise CorruptStream("zstd: no frame header declaring the decoded size")
         # A block decodes to at most 128 KiB and costs at least 4 bytes (an RLE
@@ -363,15 +377,15 @@ def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
             raise CorruptStream("zstd: declared size implausible for frame length")
         if declared > cap:
             raise CorruptStream(f"zstd: frame declares {declared} bytes, more than the {cap} allowed")
-        if _zstd.ZSTD_findFrameCompressedSize(src, n) != n:
-            raise CorruptStream("zstd: truncated frame or trailing bytes")
+        if not pieces and _zstd.ZSTD_findFrameCompressedSize(src, n) != n:
+            raise CorruptStream(_ZSTD_NOT_ONE_FRAME)
         dctx = _zstd.ZSTD_createDCtx()
         if not dctx:
             raise CodecFailure("zstd: cannot allocate decoder")
         try:
             out = _new_bytearray(None, declared if sink is None else min(SINK_CHUNK, declared))
-            with _Pinned(out) as (dst, size), memoryview(out) as view:
-                inb, outb = _ZstdBuffer(src, n, 0), _ZstdBuffer(dst, size, 0)
+            with _Pinned(out) as (dst, room), memoryview(out) as view:
+                inb, outb = _ZstdBuffer(src, size, 0), _ZstdBuffer(dst, room, 0)
                 sent = 0
                 # libzstd reports a call sequence that stops making progress as
                 # an error, so the loop ends without a guard of its own.
@@ -379,6 +393,7 @@ def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
                     code = _zstd.ZSTD_decompressStream(dctx, byref(outb), byref(inb))
                     if _zstd.ZSTD_isError(code):
                         raise CorruptStream(f"zstd: {_zstd_error(code)}")
+                    full = outb.pos == outb.size
                     if sink is not None and outb.pos:
                         sent += outb.pos
                         if sent > declared:
@@ -387,6 +402,14 @@ def zstd_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
                         outb.pos = 0
                     if code == 0:
                         break
+                    # libzstd has taken the whole piece, and, with room left
+                    # to write, waits for the next
+                    if inb.pos == inb.size:
+                        inb.pos, inb.size = 0, data.readinto(piece) if pieces else 0
+                        if not inb.size and not full:
+                            raise CorruptStream(_ZSTD_NOT_ONE_FRAME)
+                if pieces and (inb.pos < inb.size or data.readinto(piece)):
+                    raise CorruptStream(_ZSTD_NOT_ONE_FRAME)
         finally:
             _zstd.ZSTD_freeDCtx(dctx)
     got = outb.pos if sink is None else sent
@@ -509,18 +532,22 @@ def brotli_compress(data, quality: int, window_log: int) -> memoryview:
 
 
 def brotli_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | int:
-    """Decode one brotli stream to at most cap bytes. Without a sink, the
-    output buffer starts at sixteen times the stream length plus 1 KiB (text
-    at quality 6 expands about 7-8x, so it seldom grows) and doubles while the
-    decoder asks for more room, so its size follows the real output, not the
-    cap. With a sink, a buffer of SINK_CHUNK bytes is sent to sink each time
-    the decoder fills it, and the count of bytes sent is returned."""
+    """Decode one brotli stream, a bytes-like object or Pieces, to at most
+    cap bytes. Without a sink, the output buffer starts at sixteen times the
+    stream length plus 1 KiB (text at quality 6 expands about 7-8x, so it
+    seldom grows) and doubles while the decoder asks for more room, so its
+    size follows the real output, not the cap. With a sink, a buffer of
+    SINK_CHUNK bytes is sent to sink each time the decoder fills it, and the
+    count of bytes sent is returned."""
+    n = len(data)
+    pieces = isinstance(data, Pieces)
+    piece = _new_bytearray(None, SINK_CHUNK) if pieces else data
     handle = _brdec.BrotliDecoderCreateInstance(None, None, None)
     if not handle:
         raise CodecFailure("brotli: cannot allocate decoder")
     try:
-        with _Pinned(data) as (src, n):
-            next_in, avail_in = c_void_p(src), c_size_t(n)
+        with _Pinned(piece) as (src, k):
+            next_in, avail_in = c_void_p(src), c_size_t(data.readinto(piece) if pieces else k)
             out = _new_bytearray(None, min(16 * n + 1024 if sink is None else SINK_CHUNK, cap))
             written = sent = 0  # bytes in out, and bytes already sent from it
             while True:
@@ -531,10 +558,13 @@ def brotli_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | in
                         handle, byref(avail_in), byref(next_in), byref(avail_out), byref(next_out), None,
                     )
                 if res == _BROTLI_RESULT_SUCCESS:
-                    if avail_in.value:
+                    if avail_in.value or pieces and data.readinto(piece):
                         raise CorruptStream("brotli: trailing bytes after stream end")
                 elif res == _BROTLI_RESULT_NEEDS_MORE_INPUT:
-                    raise CorruptStream("brotli: truncated stream")
+                    avail_in.value = pieces and data.readinto(piece)
+                    if not avail_in.value:
+                        raise CorruptStream("brotli: truncated stream")
+                    next_in.value = src
                 elif res != _BROTLI_RESULT_NEEDS_MORE_OUTPUT:
                     raise CorruptStream("brotli: invalid stream")
                 written += room - avail_out.value
@@ -546,10 +576,11 @@ def brotli_decompress(data, cap: int = sys.maxsize, sink=None) -> bytearray | in
                         return sent
                     del out[written:]
                     return out
-                if sent + written >= cap:
-                    raise CorruptStream(f"brotli: stream decodes to more than the {cap} bytes allowed")
-                if sink is None:
-                    _resize(out, min(2 * size, cap))
+                if res == _BROTLI_RESULT_NEEDS_MORE_OUTPUT:
+                    if sent + written >= cap:
+                        raise CorruptStream(f"brotli: stream decodes to more than the {cap} bytes allowed")
+                    if sink is None:
+                        _resize(out, min(2 * size, cap))
     finally:
         _brdec.BrotliDecoderDestroyInstance(handle)
 

@@ -49,11 +49,16 @@ def _parse_pipeline(name: str) -> PipelineSpec:
         raise click.UsageError(str(exc)) from exc
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise click.ClickException(f"cannot read {path}: {exc}") from exc
+def _writer(file, path: str):
+    """file.write, whose failure is reported as path's."""
+
+    def write(chunk) -> None:
+        try:
+            file.write(chunk)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {path}: {exc}") from exc
+
+    return write
 
 
 class _Staged:
@@ -182,22 +187,32 @@ def compress(input_path: str, output_path: str, pipeline_name: str) -> None:
 def decompress(input_path: str, output_path: str) -> None:
     """Restore the original bytes from a container; the header alone names
     the codec chain, so no pipeline argument is needed."""
-    # The text is staged in an unnamed file beside OUTPUT, so only the codec's
-    # window is held in memory, and put at OUTPUT once it is verified, so a
-    # failure before then leaves OUTPUT as it was: a new OUTPUT is the staged
-    # file linked in, an existing one is copied into (a failed copy, partial).
+    # INPUT is read as its payload is decoded, and the text staged in an
+    # unnamed file beside OUTPUT, so only the codecs' windows are held in
+    # memory. The text is put at OUTPUT once it is verified and INPUT is read
+    # to its end, so INPUT may be OUTPUT and a failure before then leaves
+    # OUTPUT as it was: a new OUTPUT is the staged file linked in, an existing
+    # one is copied into (a failed copy, partial). A failed read is INPUT's,
+    # a failed write OUTPUT's.
     try:
-        with _Staged(output_path) as staged:
-            try:
-                restored = decompress_pipeline(_read_bytes(input_path), staged.file.write)
-            except HybcError as exc:
-                raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-            if not staged.link():
-                staged.file.seek(0)
-                with open(output_path, "wb") as out:
-                    shutil.copyfileobj(staged.file, out)
+        container = open(input_path, "rb")
     except OSError as exc:
-        raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
+        raise click.ClickException(f"cannot read {input_path}: {exc}") from exc
+    with container:
+        try:
+            with _Staged(output_path) as staged:
+                try:
+                    restored = decompress_pipeline(container, _writer(staged.file, output_path))
+                except OSError as exc:
+                    raise click.ClickException(f"cannot read {input_path}: {exc}") from exc
+                except HybcError as exc:
+                    raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+                if not staged.link():
+                    staged.file.seek(0)
+                    with open(output_path, "wb") as out:
+                        shutil.copyfileobj(staged.file, out)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
     click.echo(f"restored {restored} bytes (integrity verified)")
 
 

@@ -13,12 +13,19 @@ import click
 
 from . import bench as bench_module
 from . import cli
-from .cli import _parse_pipeline, _read_bytes
+from .cli import _parse_pipeline
 from .errors import MixedCohort
 from .metrics import DsBasis, compression_ratio
 from .pipeline import enumerate_pipelines
 from .report import FORMATS
 from .scoring import DEFAULT_WEIGHTS, Weights
+
+
+def _read_bytes(path: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise click.ClickException(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_weights(text: str) -> Weights:

@@ -148,7 +148,8 @@ def stream_bound(codec: CodecId, n: int) -> int:
 def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize, sink=None) -> bytearray | int:
     """Invert compress_one into one bytearray of at most cap bytes; raises
     CorruptStream when the input is not a stream of the claimed codec or
-    decodes to more than cap bytes. The stream may be any bytes-like object.
+    decodes to more than cap bytes. The stream may be any bytes-like object
+    or, for a PIECEWISE codec, _native.Pieces.
 
     With a sink, the output goes to sink(chunk) instead, in chunks of at most
     _native.SINK_CHUNK bytes (LZ4HC, one raw block, sends its whole output
@@ -175,24 +176,35 @@ def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize, sink=None) ->
 def _stdlib_decompress(decomp, stream, cap: int, name: str, sink) -> bytearray | int:
     # Steps of at most SINK_CHUNK bytes, into one bytearray or to a sink, each
     # asking for at most cap + 1 bytes in all: the extra byte shows the excess.
+    # Pieces are read into one buffer, the next once the decompressor needs
+    # input; it keeps the input it has not decoded.
     out = bytearray()
     write = out.extend if sink is None else sink
     sent = 0
+    pieces = isinstance(stream, _native.Pieces)
+    buffer = memoryview(bytearray(_native.SINK_CHUNK)) if pieces else None
+
+    def more():
+        return buffer[:stream.readinto(buffer)] if pieces else b""
+
+    feed = more() if pieces else stream
     while True:
         try:
-            chunk = decomp.decompress(stream, min(cap + 1 - sent, _native.SINK_CHUNK))
+            chunk = decomp.decompress(feed, min(cap + 1 - sent, _native.SINK_CHUNK))
         except Exception as exc:
             raise CorruptStream(f"{name}: {exc}") from exc
-        stream = b""
         sent += len(chunk)
         if sent > cap:
             raise CorruptStream(f"{name}: stream decodes to more than the {cap} bytes allowed")
         write(chunk)
-        if decomp.eof or decomp.needs_input:
+        if decomp.eof:
+            break
+        feed = more() if decomp.needs_input else b""
+        if not feed and decomp.needs_input:
             break
     if not decomp.eof:
         raise CorruptStream(f"{name}: truncated stream")
-    if decomp.unused_data:
+    if decomp.unused_data or more():
         raise CorruptStream(f"{name}: trailing bytes after stream end")
     return out if sink is None else sent
 

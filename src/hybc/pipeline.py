@@ -183,12 +183,19 @@ def _bytes_left(file) -> int:
 def decompress_pipeline(container, sink=None) -> bytearray | int:
     """Invert the recorded chain (second stage first) and verify integrity.
 
+    container is a bytes-like object or a binary file open for reading,
+    read from its position. The codec that reads the payload (a hybrid's
+    second, else the only one) takes a regular file's bytes after the header
+    as _native.Pieces where it is PIECEWISE (any but LZ4HC); LZ4HC, pipes
+    and file objects without a descriptor are read whole. Either way a file
+    decodes, and is refused, as its bytes are in memory.
+
     The header caps every stage before it allocates: the last stage may
     decode to at most original_len bytes, and the stream between two stages
-    to at most what the first codec writes for original_len bytes. The
-    payload is read in place, a hybrid's stream between its stages is one
-    buffer, and a hybrid's container is let go once its second stage has
-    decoded it.
+    to at most what the first codec writes for original_len bytes. A payload
+    in memory is read in place, a hybrid's stream between its stages is one
+    buffer, and a hybrid's container, or its payload read whole, is let go
+    once its second stage has decoded it.
 
     Without a sink, the last stage decodes into one buffer, which is verified
     and returned. With a sink, the last stage sends its output to sink(chunk)
@@ -198,13 +205,19 @@ def decompress_pipeline(container, sink=None) -> bytearray | int:
     is returned. So the sink sees bytes before they are verified, and must
     drop them if this call raises. Each chunk is valid only during the call
     that passes it."""
-    header = parse_header(container)
-    payload = memoryview(container)[HEADER_LEN:]
+    if isinstance(container, io.IOBase):
+        left = _bytes_left(container) - HEADER_LEN
+        header = parse_header(container.read(HEADER_LEN))
+        reader = header.second_codec or header.first_codec
+        payload = Pieces(left, container) if left > 0 and reader in PIECEWISE else container.read()
+    else:
+        header = parse_header(container)
+        payload = memoryview(container)[HEADER_LEN:]
+    del container
     if header.second_codec is not None:
         payload = decompress_one(
             header.second_codec, payload, stream_bound(header.first_codec, header.original_len)
         )
-        del container
     if sink is None:
         data = decompress_one(header.first_codec, payload, header.original_len)
         _verify(header, len(data), crc32(data))

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -656,6 +657,36 @@ def test_cli_compress_read_failure_midway_is_runtime_error(monkeypatch, runner, 
         assert not (tmp_path / "o").exists()
 
 
+def test_cli_decompress_read_failure_midway_is_runtime_error(monkeypatch, runner, tmp_path,
+                                                             small_corpus):
+    # a Zstd, Brotli, LZMA or Bzip2 payload is read from INPUT in pieces as it
+    # decodes; a read that fails after the first piece is reported as INPUT's,
+    # not as the decoder's or OUTPUT's, and OUTPUT is left as it was
+    class FailingAfterFirstPiece(io.FileIO):
+        def readinto(self, buffer):
+            if self.tell() > HEADER_LEN:
+                raise OSError(errno.EIO, "Input/output error")
+            return super().readinto(buffer)
+
+    real_open = open
+    monkeypatch.setattr(
+        cli_mod, "open",
+        lambda path, mode: FailingAfterFirstPiece(path) if mode == "rb" else real_open(path, mode),
+        raising=False,
+    )
+    text = small_corpus + random.Random(5).randbytes(300_000)
+    src, kept, new = tmp_path / "in.hybc", tmp_path / "kept", tmp_path / "new"
+    kept.write_bytes(b"kept")
+    for name in ("Zstd", "Brotli", "LZMA", "Bzip2"):
+        src.write_bytes(compress_pipeline(pipeline_from_name(name), text))
+        for output in (kept, new):
+            result = runner.invoke(main, ["decompress", str(src), str(output)])
+            assert result.exit_code == 1, name
+            assert result.output == f"Error: cannot read {src}: [Errno 5] Input/output error\n"
+        assert kept.read_bytes() == b"kept"
+        assert not new.exists()
+
+
 @pytest.mark.parametrize("length", [0, 1, SINK_CHUNK - 1, SINK_CHUNK, SINK_CHUNK + 1, 300_001])
 def test_cli_compress_writes_the_in_memory_container(runner, tmp_path, small_corpus, length):
     # every first stage but LZ4HC reads INPUT in SINK_CHUNK pieces, LZ4HC
@@ -684,6 +715,22 @@ def test_cli_compress_reads_a_pipe_whole(runner, tmp_path, small_corpus):
             assert not writer.is_alive()
             assert result.exit_code == 0, (spec.display_name, result.output)
             assert out.read_bytes() == compress_pipeline(spec, text), spec.display_name
+
+
+def test_cli_decompress_reads_a_pipe_whole(runner, tmp_path, small_corpus):
+    # a pipe has no length up front, so its payload is read whole, and
+    # restores the same bytes
+    fifo, out = tmp_path / "fifo", tmp_path / "out.txt"
+    os.mkfifo(fifo)
+    for name in ("Zstd", "Brotli+LZ4HC", "LZ4HC+LZMA"):
+        container = compress_pipeline(pipeline_from_name(name), small_corpus)
+        writer = threading.Thread(target=fifo.write_bytes, args=(container,), daemon=True)
+        writer.start()
+        result = runner.invoke(main, ["decompress", str(fifo), str(out)])
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert result.exit_code == 0, (name, result.output)
+        assert out.read_bytes() == small_corpus, name
 
 
 def test_cli_compress_holds_no_piecewise_text(runner, tmp_path, small_corpus):
@@ -730,6 +777,17 @@ def test_cli_compress_input_may_be_output(runner, tmp_path, small_corpus, name):
     result = runner.invoke(main, ["compress", "-p", name, str(path), str(path)])
     assert result.exit_code == 0, result.output
     assert path.read_bytes() == compress_pipeline(pipeline_from_name(name), small_corpus)
+
+
+@pytest.mark.parametrize("name", ["Zstd", "LZ4HC", "Zstd+LZ4HC", "Brotli+LZ4HC"])
+def test_cli_decompress_input_may_be_output(runner, tmp_path, small_corpus, name):
+    # INPUT is read to its end, its payload in pieces or whole, before the
+    # verified text is put at OUTPUT
+    path = tmp_path / "in.hybc"
+    path.write_bytes(compress_pipeline(pipeline_from_name(name), small_corpus))
+    result = runner.invoke(main, ["decompress", str(path), str(path)])
+    assert result.exit_code == 0, result.output
+    assert path.read_bytes() == small_corpus
 
 
 def test_cli_compress_closes_what_it_opens(tmp_path, small_corpus):
@@ -913,13 +971,13 @@ def test_cli_decompress_failure_leaves_no_new_output(runner, tmp_path, tiny_text
 def _staged_inodes(monkeypatch) -> list[int]:
     """The inode of each file `hybc decompress` stages its text in."""
     inodes = []
-    real = cli_mod.decompress_pipeline
+    real = cli_mod._writer
 
-    def spy(data, write):
-        inodes.append(os.fstat(write.__self__.fileno()).st_ino)
-        return real(data, write)
+    def spy(file, path):
+        inodes.append(os.fstat(file.fileno()).st_ino)
+        return real(file, path)
 
-    monkeypatch.setattr(cli_mod, "decompress_pipeline", spy)
+    monkeypatch.setattr(cli_mod, "_writer", spy)
     return inodes
 
 
@@ -1089,6 +1147,26 @@ def test_cli_compress_failed_write_leaves_no_new_output(tmp_path, small_corpus):
         assert proc.stderr.startswith(f"Error: cannot write {output}: [Errno 27] "), proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.hybc", "in.txt"]
     assert existing.stat().st_size == 4096
+
+
+def test_cli_decompress_failed_write_is_outputs(tmp_path, small_corpus):
+    """With files capped at 4096 bytes, a text too long to stage makes `hybc
+    decompress` exit 1 naming OUTPUT, though INPUT is read as the text is
+    written, and OUTPUT is left as it was."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    container = tmp_path / "in.hybc"
+    container.write_bytes(compress_pipeline(_ZSTD, small_corpus))
+    existing = tmp_path / "existing"
+    existing.write_bytes(b"kept")
+    for output in (tmp_path / "new", existing):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FILE_SIZE_LIMITED, "decompress", str(container), str(output)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"Error: cannot write {output}: [Errno 27] "), proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "in.hybc"]
+    assert existing.read_bytes() == b"kept"
 
 
 def test_cli_bench_writes_reports(runner, three_corpora, tmp_path):

@@ -1,8 +1,10 @@
 import ctypes
+import functools
 import io
 import lzma
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -323,6 +325,38 @@ def test_piecewise_stream_does_not_depend_on_the_cut(codec, cut, small_corpus):
     # 3 x 64 KiB, so the last piece is a whole one for one cut, short for two
     text = small_corpus[: 3 << 16]
     assert compress_one(codec, _pieces(text, cut)) == compress_one(codec, text)
+
+
+@functools.cache
+def _stream_past_two_pieces(codec: CodecId) -> tuple[bytes, bytes]:
+    """(text, stream): codec's stream of a text whose noise makes the stream
+    longer than one SINK_CHUNK."""
+    text = generate_synthetic(SizeClass.SMALL, 42)[: 3 << 16] + random.Random(1).randbytes(200_000)
+    stream = compress_one(codec, text)
+    assert len(stream) > _native.SINK_CHUNK
+    return text, stream
+
+
+@pytest.mark.parametrize("cut", [32, 4093, _native.SINK_CHUNK, None])
+@pytest.mark.parametrize("codec", sorted(PIECEWISE))
+def test_piecewise_decode_does_not_depend_on_the_cut(codec, cut):
+    # a stream read in pieces, as from a file, decodes as it does whole, into
+    # memory and to a sink, and a cut or a trailer is refused alike: each
+    # piece goes into the one buffer a decoder reuses, so the decoder must
+    # have taken the last before it reads the next. A Zstd frame's header
+    # is in the first piece, as a regular file's first read holds it.
+    text, stream = _stream_past_two_pieces(codec)
+    cut = cut or len(stream)
+    assert decompress_one(codec, _pieces(stream, cut)) == text
+    chunks = []
+    assert decompress_one(codec, _pieces(stream, cut), sink=lambda c: chunks.append(bytes(c))) == (
+        len(text))
+    assert b"".join(chunks) == text
+    for hostile in (stream[: len(stream) // 2], stream + b"\x00trailing" * 10):
+        with pytest.raises(CorruptStream) as whole:
+            decompress_one(codec, hostile)
+        with pytest.raises(CorruptStream, match=f"^{re.escape(str(whole.value))}$"):
+            decompress_one(codec, _pieces(hostile, cut))
 
 
 def test_brotli_text_ending_on_a_metablock_does_not_depend_on_the_cut(large_text):

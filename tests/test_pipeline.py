@@ -1,4 +1,6 @@
+import bz2
 import io
+import lzma
 import os
 import random
 import struct
@@ -14,7 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybc import _native
-from hybc.codecs import CodecId, codec_params, compress_one, library_versions, stream_bound
+from hybc.codecs import (
+    PIECEWISE,
+    CodecId,
+    codec_params,
+    compress_one,
+    library_versions,
+    stream_bound,
+)
+from hybc.corpus import SizeClass, generate_synthetic
 from hybc.errors import (
     BadMagic,
     CodecFailure,
@@ -741,6 +751,136 @@ def test_streamed_zstd_decode_holds_a_window_not_the_text(small_corpus):
     assert in_memory >= 8 << 20, f"in-memory peak {in_memory} B"
 
 
+def _half_noise(size: int, text: bytes, seed: int) -> bytes:
+    """size bytes, 4 KiB of text then 4 KiB of noise in turn, which every
+    codec compresses to about half its length."""
+    noise = random.Random(seed).randbytes(size // 2 + 4096)
+    text = text * (size // len(text) + 1)
+    return b"".join(text[i:i + 4096] + noise[i:i + 4096] for i in range(0, size // 2, 4096))[:size]
+
+
+def _outcome(source, sink=None) -> tuple[type, str] | None:
+    """The type and message of the HybcError decompress_pipeline raises, or
+    None where it decodes."""
+    try:
+        decompress_pipeline(source, sink)
+    except HybcError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("codec", sorted(PIECEWISE), ids=lambda c: c.canonical_name)
+def test_a_file_and_its_bytes_are_rejected_alike(codec, tmp_path, small_corpus):
+    # a PIECEWISE payload is read from a file in pieces, so a stream that ends
+    # early or runs on is seen only as the decoder meets its end; the file
+    # must still be refused as its bytes are in memory. The text's payload
+    # spans three pieces, and the other text differs from it in one byte.
+    text = small_corpus + random.Random(3).randbytes(300_000)
+    other = bytearray(text)
+    other[len(text) // 2] ^= 0x01
+    spec = PipelineSpec(codec)
+    valid = compress_pipeline(spec, text)
+    assert len(valid) - HEADER_LEN > 2 * _native.SINK_CHUNK
+    hostile = {
+        "cut inside the payload": valid[:HEADER_LEN + (len(valid) - HEADER_LEN) // 2],
+        "bytes appended": valid + b"\x00trailing" * 10,
+        "header length caps the decode": _relabelled(valid, len(text) // 2,
+                                                     zlib.crc32(text[:len(text) // 2])),
+        "other text of that length, which only the CRC-32 catches":
+            valid[:HEADER_LEN] + compress_pipeline(spec, bytes(other))[HEADER_LEN:],
+    }
+    path = tmp_path / "in.hybc"
+    for kind, blob in hostile.items():
+        path.write_bytes(blob)
+        for sink in (None, _collecting_sink()[1]):
+            expected = _outcome(blob, sink)
+            assert expected is not None, kind
+            with open(path, "rb") as file:
+                assert _outcome(file, sink) == expected, (kind, sink)
+    path.write_bytes(valid)
+    with open(path, "rb") as file:
+        assert decompress_pipeline(file) == text
+    chunks, sink = _collecting_sink()
+    with open(path, "rb") as file:
+        assert decompress_pipeline(file, sink) == len(text)
+    assert b"".join(chunks) == text
+
+
+@pytest.mark.parametrize("spec", enumerate_pipelines(), ids=lambda s: s.display_name)
+def test_a_file_decodes_as_its_bytes(spec, tmp_path, tiny_text):
+    # from its position, whether its payload is read in pieces or whole
+    path = tmp_path / "in.hybc"
+    container = compress_pipeline(spec, tiny_text)
+    path.write_bytes(b"skipped" + container)
+    with open(path, "rb") as file:
+        file.seek(7)
+        assert decompress_pipeline(file) == tiny_text
+    stream = io.BytesIO(container)  # no descriptor, so read whole
+    chunks, sink = _collecting_sink()
+    assert decompress_pipeline(stream, sink) == len(tiny_text)
+    assert b"".join(chunks) == tiny_text
+
+
+# Decodes the container at argv[1] from the file into a sink that keeps
+# nothing, and prints the count decoded, then how far the peak RSS grew
+# during the call, in KiB; it forks at once for the reason
+# _REJECTED_DECODE_PEAK gives.
+_FILE_DECODE_PEAK = """
+import os, sys
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import resource
+from hybc.pipeline import decompress_pipeline
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with open(sys.argv[1], "rb") as container:
+    print(decompress_pipeline(container, len))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+# LZMA and Bzip2 payloads written at their libraries' fastest settings,
+# which their decoders take as they take hybc's own, and whose windows (a
+# 256 KiB dictionary, 100 kB blocks) allow texts of a quarter of the size,
+# to keep the test short.
+_FAST_STREAM = {
+    CodecId.LZMA: lambda text: lzma.compress(text, format=lzma.FORMAT_XZ, preset=0),
+    CodecId.BZIP2: lambda text: bz2.compress(text, 1),
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize("codec", sorted(PIECEWISE), ids=lambda c: c.canonical_name)
+def test_a_file_decodes_in_a_window(codec, tmp_path, large_text):
+    # a PIECEWISE payload is read from a regular file one piece at a time,
+    # so past the decoder's window the peak RSS grows by about as much for a
+    # 24 MiB text as for a 12 MiB one (a quarter of each for LZMA and Bzip2),
+    # though their containers differ by more than twice what the test
+    # allows, which holding the container would add
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    scale = 4 if codec in _FAST_STREAM else 1
+    grown, lengths = [], []
+    for size in ((12 << 20) // scale, (24 << 20) // scale):
+        text = _half_noise(size, large_text, size)
+        if codec in _FAST_STREAM:
+            header = ContainerHeader(codec, None, size, zlib.crc32(text))
+            container = serialize_header(header) + _FAST_STREAM[codec](text)
+        else:
+            container = compress_pipeline(PipelineSpec(codec), text)
+        path = tmp_path / f"text{size}.hybc"
+        path.write_bytes(container)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FILE_DECODE_PEAK, str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        sent, grown_kib = map(int, proc.stdout.split())
+        assert sent == size
+        grown.append(grown_kib << 10)
+        lengths.append(len(container))
+    assert lengths[1] - lengths[0] > (4 << 20) // scale, lengths
+    assert grown[1] - grown[0] < (2 << 20) // scale, f"peak RSS grew by {grown} B"
+
+
 class _Container(bytearray):
     """A container that can be weakly referenced, which bytes cannot."""
 
@@ -794,7 +934,25 @@ def test_cli_decompress_keeps_no_reference_to_the_container(monkeypatch, tmp_pat
 
     make, alive = _first_decode_probe(monkeypatch, PipelineSpec(CodecId.ZSTD, CodecId.LZ4HC),
                                       tiny_text)
-    monkeypatch.setattr(cli_mod, "_read_bytes", lambda path: make())
+
+    class Opened(io.BytesIO):
+        """INPUT as `hybc decompress` opens it. Each read makes the probed
+        container anew: the header's read is its start, and the read of
+        the rest, which an LZ4HC payload is read whole by, the container
+        itself cut to what follows the header."""
+
+        def read(self, size=-1):
+            made = make()
+            if size >= 0:
+                return bytes(made[:size])
+            del made[:HEADER_LEN]
+            return made
+
+    real_open = open
+    monkeypatch.setattr(
+        cli_mod, "open", lambda path, mode: Opened() if path == "in.hybc" else real_open(path, mode),
+        raising=False,
+    )
     out = tmp_path / "restored"
     cli_mod.main(["decompress", "in.hybc", str(out)], standalone_mode=False)
     assert out.read_bytes() == tiny_text
@@ -839,3 +997,42 @@ def test_small_corpus_container_regression(small_corpus):
         f"gives {len(container)}); cross-check it and add a CONTAINER_LEN row"
     )
     assert len(container) == CONTAINER_LEN[pair]
+
+
+# The hybrids whose container is no shorter than their first codec's own, on
+# generate_synthetic(SMALL, 42) and (MEDIUM, 42), per (zstd, brotli, lz4)
+# library version triple. Such a hybrid runs all of its first codec and more
+# for no smaller container, so sizes alone put it below that codec (ROADMAP
+# item 11). A new triple gets a row only after these sizes are cross-checked
+# against the codecs' reference CLIs, as CONTAINER_LEN's rows are.
+_NOT_LZ4HC_FIRST = frozenset(
+    spec.display_name for spec in enumerate_pipelines()
+    if spec.is_hybrid and spec.first is not CodecId.LZ4HC
+)
+NO_SHORTER_THAN_FIRST = {
+    ("1.5.4", "1.0.9", "1.9.4"): _NOT_LZ4HC_FIRST,
+}
+
+
+def test_sizes_alone_put_sixteen_hybrids_below_their_first_codec():
+    # compress only: a hybrid's container is its second codec's stream of its
+    # first codec's stream behind the same 20-byte header as the first
+    # codec's own container, so the streams' lengths decide
+    versions = library_versions()
+    triple = (versions["zstd"], versions["brotli"], versions["lz4"])
+    found = {}
+    for size_class in (SizeClass.SMALL, SizeClass.MEDIUM):
+        first = {codec: compress_one(codec, generate_synthetic(size_class, 42)) for codec in CodecId}
+        found[size_class] = frozenset(
+            spec.display_name for spec in enumerate_pipelines()
+            if spec.is_hybrid and len(compress_one(spec.second, first[spec.first])) >= len(first[spec.first])
+        )
+    assert triple in NO_SHORTER_THAN_FIRST, (
+        f"no pinned set for zstd {triple[0]} / brotli {triple[1]} / lz4 {triple[2]} (this "
+        f"build gives {sorted(found[SizeClass.SMALL])} on Small and "
+        f"{sorted(found[SizeClass.MEDIUM])} on Medium); cross-check it and add a "
+        f"NO_SHORTER_THAN_FIRST row"
+    )
+    for size_class, names in found.items():
+        assert names == NO_SHORTER_THAN_FIRST[triple], size_class.name
+    assert len(_NOT_LZ4HC_FIRST) == 16
