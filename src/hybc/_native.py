@@ -11,18 +11,19 @@ kernel backs only where the library writes, writes its stream from the start
 and returns a memoryview of the bytes it wrote; the mapping goes when that
 view is released, or with the exception an encoder raises. A bound is 0
 where no stream of that input length can exist.
-A codec in codecs.PIECEWISE (any but LZ4HC) reads a regular file in pieces
-in both directions, as Pieces: compress_pipeline hands it the text, and
-decompress_pipeline the payload after the header. LZ4HC, pipes and file
-objects without a descriptor are read whole. Zstd and Brotli take Pieces
+A regular file is read as Pieces: compress_pipeline hands a codec in
+codecs.PIECEWISE (any but LZ4HC) the text, and decompress_pipeline any
+decoder the payload after the header. Pipes and file objects without a
+descriptor, and LZ4HC's text, are read whole. Zstd and Brotli take Pieces
 here, and a bytes-like input as one piece. Zstd runs one
 ZSTD_compressStream2 loop over a stable input buffer, which is a bytes-like
 input itself or a mapping that Pieces are read into, so a text gives
 ZSTD_compress's frame however it is cut. Brotli runs one
 BrotliEncoderCompressStream loop, which takes Pieces one at a time, with
 BrotliEncoderCompress's settings, so a text gives that function's stream
-however it is cut. Each decoder reads Pieces one at a time into one buffer
-it reuses, so a stream costs its decoder's window, not its length.
+however it is cut. Each decoder but LZ4's reads Pieces one at a time into
+one buffer it reuses, so a stream costs its decoder's window, not its
+length.
 
 A decoder takes an optional cap, the most bytes its output may hold. Where a
 stream declares its decoded size (the zstd frame header, the LZ4HC length
@@ -53,6 +54,11 @@ only where the output goes:
   stream length plus 1 KiB and grows geometrically with the real output, up
   to the cap. The decoder never gets room past the cap.
 - LZ4 decodes its one raw block whole, into a buffer of the declared size.
+  A block in Pieces that is shorter than its output is read into the end of
+  a buffer of the declared size plus 1/256 of it plus 32 bytes (lz4.h's
+  LZ4_DECOMPRESS_INPLACE_BUFFER_SIZE, from liblz4 1.9.0) and decoded in
+  place to its start, so the block costs no buffer of its own; any other
+  block in Pieces, or any with an older liblz4, is read into one first.
 
 A decoder never sends more than the cap, or than a Zstd frame declares, and
 checks the total at the end, so a sink sees bytes before they are known to
@@ -177,6 +183,13 @@ class Pieces:
     def readinto(self, buffer) -> int:
         got = self._read(buffer)
         self.count, self.crc = self.count + got, crc32(memoryview(buffer)[:got], self.crc)
+        return got
+
+    def fill(self, buffer) -> int:
+        """readinto until buffer is full or the file has ended; the count read."""
+        view, got = memoryview(buffer), 0
+        while got < len(view) and (more := self.readinto(view[got:])):
+            got += more
         return got
 
     def __iter__(self):
@@ -626,17 +639,49 @@ def lz4hc_compress_block(data, level: int, prefix=b"") -> memoryview:
     return memoryview(out)[:start + written]
 
 
+def _lz4_check_claim(decoded_size: int, n: int) -> None:
+    # A sequence cannot expand past ~255x, so a larger claim is corrupt.
+    if not 0 <= decoded_size <= min(LZ4_MAX_INPUT_SIZE, 255 * n + 64):
+        raise CorruptStream("lz4: declared size implausible for block length")
+
+
 def lz4_decompress_block(block, decoded_size: int) -> bytearray:
-    """Decode one raw LZ4 block that must expand to exactly decoded_size bytes."""
+    """Decode one raw LZ4 block that must expand to exactly decoded_size
+    bytes. block is a bytes-like object, or Pieces whose bytes left (their
+    length less their count) are the block."""
+    if isinstance(block, Pieces):
+        return _lz4_decompress_pieces(block, decoded_size)
     with _Pinned(block) as (src, n):
-        # A sequence cannot expand past ~255x, so a larger claim is corrupt.
-        if not 0 <= decoded_size <= min(LZ4_MAX_INPUT_SIZE, 255 * n + 64):
-            raise CorruptStream("lz4: declared size implausible for block length")
+        _lz4_check_claim(decoded_size, n)
         out = _new_bytearray(None, decoded_size)
         with _Pinned(out) as (dst, _):
             got = _lz4.LZ4_decompress_safe(src, dst, n, decoded_size)
     if got != decoded_size:
         raise CorruptStream(f"lz4: block decoded to {got} bytes, expected {decoded_size}")
+    return out
+
+
+def _lz4_decompress_pieces(pieces: Pieces, decoded_size: int) -> bytearray:
+    # The block is read into the end of a buffer: the one it decodes to in
+    # place, as lz4.h's "In-place compression and decompression" allows (see
+    # the module docstring), or else one of its own. liblz4 reads and writes
+    # nothing outside the two regions it is given, so a damaged block can only
+    # overwrite its own unread bytes and decode to wrong ones, which the
+    # checks after it refuse.
+    n = len(pieces) - pieces.count
+    _lz4_check_claim(decoded_size, n)
+    in_place = n < decoded_size and tuple(map(int, lz4_version().split(".")[:2])) >= (1, 9)
+    out = _new_bytearray(None, decoded_size + (decoded_size >> 8) + 32 if in_place else n)
+    start = len(out) - n
+    if pieces.fill(memoryview(out)[start:]) < n:
+        raise CorruptStream("lz4: stream ends inside its block")
+    if not in_place:
+        return lz4_decompress_block(out, decoded_size)
+    with _Pinned(out) as (dst, _):
+        got = _lz4.LZ4_decompress_safe(dst + start, dst, n, decoded_size)
+    if got != decoded_size:
+        raise CorruptStream(f"lz4: block decoded to {got} bytes, expected {decoded_size}")
+    del out[decoded_size:]
     return out
 
 

@@ -79,7 +79,7 @@ def library_versions() -> dict[str, str]:
 
 # The codecs whose encoder takes its input as Pieces and writes the same
 # stream however it is cut: all but LZ4HC, whose stream is one raw block that
-# liblz4 encodes from the whole text.
+# liblz4 encodes from the whole text. Every decoder takes Pieces.
 PIECEWISE = frozenset(CodecId) - {CodecId.LZ4HC}
 
 
@@ -149,7 +149,7 @@ def decompress_one(codec: CodecId, stream, cap: int = sys.maxsize, sink=None) ->
     """Invert compress_one into one bytearray of at most cap bytes; raises
     CorruptStream when the input is not a stream of the claimed codec or
     decodes to more than cap bytes. The stream may be any bytes-like object
-    or, for a PIECEWISE codec, _native.Pieces.
+    or _native.Pieces, as from any regular file.
 
     With a sink, the output goes to sink(chunk) instead, in chunks of at most
     _native.SINK_CHUNK bytes (LZ4HC, one raw block, sends its whole output
@@ -210,9 +210,13 @@ def _stdlib_decompress(decomp, stream, cap: int, name: str, sink) -> bytearray |
 
 
 def _lz4_decompress(stream, cap: int) -> bytearray:
-    if len(stream) < _LZ4_PREFIX.size:
+    # Pieces are read here for the prefix, and what they have left is the block.
+    pieces = isinstance(stream, _native.Pieces)
+    prefix = bytearray(_LZ4_PREFIX.size) if pieces else stream
+    if len(stream) < _LZ4_PREFIX.size or pieces and stream.fill(prefix) < _LZ4_PREFIX.size:
         raise CorruptStream("lz4: stream shorter than its length prefix")
-    (declared,) = _LZ4_PREFIX.unpack_from(stream)
+    (declared,) = _LZ4_PREFIX.unpack_from(prefix)
     if declared > cap:
         raise CorruptStream(f"lz4: prefix declares {declared} bytes, more than the {cap} allowed")
-    return _native.lz4_decompress_block(memoryview(stream)[_LZ4_PREFIX.size:], declared)
+    block = stream if pieces else memoryview(stream)[_LZ4_PREFIX.size:]
+    return _native.lz4_decompress_block(block, declared)

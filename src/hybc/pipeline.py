@@ -186,9 +186,12 @@ def decompress_pipeline(container, sink=None) -> bytearray | int:
     container is a bytes-like object or a binary file open for reading,
     read from its position. The codec that reads the payload (a hybrid's
     second, else the only one) takes a regular file's bytes after the header
-    as _native.Pieces where it is PIECEWISE (any but LZ4HC); LZ4HC, pipes
-    and file objects without a descriptor are read whole. Either way a file
-    decodes, and is refused, as its bytes are in memory.
+    as _native.Pieces; pipes and file objects without a descriptor are read
+    whole. Either way a file decodes as its bytes do in memory, and a stream
+    cut short, run on, capped by the header or of another text is refused
+    alike. Zstd, Brotli, LZMA and Bzip2 read the Pieces as they decode, and
+    LZ4HC reads its block into the end of the buffer it decodes to, where
+    the block is the shorter (see _native).
 
     The header caps every stage before it allocates: the last stage may
     decode to at most original_len bytes, and the stream between two stages
@@ -208,8 +211,7 @@ def decompress_pipeline(container, sink=None) -> bytearray | int:
     if isinstance(container, io.IOBase):
         left = _bytes_left(container) - HEADER_LEN
         header = parse_header(container.read(HEADER_LEN))
-        reader = header.second_codec or header.first_codec
-        payload = Pieces(left, container) if left > 0 and reader in PIECEWISE else container.read()
+        payload = Pieces(left, container) if left > 0 else container.read()
     else:
         header = parse_header(container)
         payload = memoryview(container)[HEADER_LEN:]

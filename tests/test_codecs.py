@@ -338,13 +338,15 @@ def _stream_past_two_pieces(codec: CodecId) -> tuple[bytes, bytes]:
 
 
 @pytest.mark.parametrize("cut", [32, 4093, _native.SINK_CHUNK, None])
-@pytest.mark.parametrize("codec", sorted(PIECEWISE))
+@pytest.mark.parametrize("codec", ALL_CODECS)
 def test_piecewise_decode_does_not_depend_on_the_cut(codec, cut):
     # a stream read in pieces, as from a file, decodes as it does whole, into
     # memory and to a sink, and a cut or a trailer is refused alike: each
     # piece goes into the one buffer a decoder reuses, so the decoder must
     # have taken the last before it reads the next. A Zstd frame's header
-    # is in the first piece, as a regular file's first read holds it.
+    # is in the first piece, as a regular file's first read holds it. An
+    # LZ4HC block is read whole, whatever the cut, into the end of the
+    # buffer it decodes to.
     text, stream = _stream_past_two_pieces(codec)
     cut = cut or len(stream)
     assert decompress_one(codec, _pieces(stream, cut)) == text
@@ -398,12 +400,28 @@ def test_pieces_count_exactly_what_they_hand_out(cut, small_corpus):
     read = b"".join(bytes(buffer[:got]) for got in iter(lambda: pieces.readinto(buffer), 0))
     iterated = _pieces(text, cut)
     assert b"".join(iterated) == read == text
-    for drained in (pieces, iterated):
+    filled, whole = _pieces(text, cut), bytearray(len(text) + 1)
+    assert filled.fill(whole) == len(text) and whole[:-1] == text
+    for drained in (pieces, iterated, filled):
         assert (drained.count, drained.crc) == (len(text), zlib.crc32(text))
     # a file shorter than the length given up front counts what was read
     short = _pieces(text[:1000], cut, length=len(text))
     assert b"".join(short) == text[:1000]
     assert (len(short), short.count, short.crc) == (len(text), 1000, zlib.crc32(text[:1000]))
+
+
+@pytest.mark.parametrize("kept, message", [
+    (5, "lz4: stream shorter than its length prefix"),
+    (100, "lz4: stream ends inside its block"),
+    (-1, "lz4: stream ends inside its block"),
+])
+@pytest.mark.parametrize("text", ["tiny_text", "random_64k"])  # a block in place, a block whole
+def test_lz4hc_pieces_shorter_than_their_length_are_refused(text, kept, message, request):
+    # Pieces give their length up front, as a regular file's size; a file
+    # cut after that is refused, never decoded from a buffer left unfilled
+    stream = compress_one(CodecId.LZ4HC, request.getfixturevalue(text))
+    with pytest.raises(CorruptStream, match=f"^{message}$"):
+        decompress_one(CodecId.LZ4HC, _pieces(stream[:kept], 4093, length=len(stream)))
 
 
 @pytest.mark.parametrize("codec, message", [

@@ -769,12 +769,13 @@ def _outcome(source, sink=None) -> tuple[type, str] | None:
     return None
 
 
-@pytest.mark.parametrize("codec", sorted(PIECEWISE), ids=lambda c: c.canonical_name)
+@pytest.mark.parametrize("codec", list(CodecId), ids=lambda c: c.canonical_name)
 def test_a_file_and_its_bytes_are_rejected_alike(codec, tmp_path, small_corpus):
-    # a PIECEWISE payload is read from a file in pieces, so a stream that ends
-    # early or runs on is seen only as the decoder meets its end; the file
-    # must still be refused as its bytes are in memory. The text's payload
-    # spans three pieces, and the other text differs from it in one byte.
+    # a payload is read from a file as Pieces, in pieces or, for LZ4HC, into
+    # the end of the buffer it decodes to, so a stream that ends early or
+    # runs on is seen only as the decoder meets its end; the file must still
+    # be refused as its bytes are in memory. The text's payload spans three
+    # pieces, and the other text differs from it in one byte.
     text = small_corpus + random.Random(3).randbytes(300_000)
     other = bytearray(text)
     other[len(text) // 2] ^= 0x01
@@ -804,6 +805,102 @@ def test_a_file_and_its_bytes_are_rejected_alike(codec, tmp_path, small_corpus):
     with open(path, "rb") as file:
         assert decompress_pipeline(file, sink) == len(text)
     assert b"".join(chunks) == text
+
+
+@pytest.fixture
+def lz4_in_place(monkeypatch):
+    """A list that records, for each LZ4_decompress_safe call, whether it
+    decodes in place: its block inside the buffer it decodes to."""
+    calls, lz4 = [], _native._lz4
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(lz4, name)
+
+        def LZ4_decompress_safe(self, src, dst, n, size):
+            calls.append(dst < src <= dst + size + (size >> 8) + 32)
+            return lz4.LZ4_decompress_safe(src, dst, n, size)
+
+    monkeypatch.setattr(_native, "_lz4", Spy())
+    return calls
+
+
+@pytest.mark.parametrize("name, version, in_place", [
+    ("LZ4HC", None, True),
+    ("Zstd+LZ4HC", None, False),  # an LZ4HC block over a Zstd frame expands
+    ("LZ4HC", "1.8.3", False),  # lz4.h documents in-place decoding from 1.9.0
+])
+def test_an_lz4hc_file_decodes_in_place_where_it_can(name, version, in_place, monkeypatch,
+                                                     lz4_in_place, tmp_path, small_corpus):
+    text = _half_noise(1 << 20, small_corpus, 5)
+    container = compress_pipeline(pipeline_from_name(name), text)
+    if version is not None:
+        monkeypatch.setattr(_native, "lz4_version", lambda: version)
+    path = tmp_path / "in.hybc"
+    path.write_bytes(container)
+    with open(path, "rb") as file:
+        assert decompress_pipeline(file) == text
+    chunks, sink = _collecting_sink()
+    with open(path, "rb") as file:
+        assert decompress_pipeline(file, sink) == len(text)
+    assert b"".join(chunks) == text
+    assert lz4_in_place == [in_place] * 2
+    # in memory, a block is never decoded in place
+    lz4_in_place.clear()
+    assert decompress_pipeline(container) == text
+    assert lz4_in_place == [False]
+
+
+# Decodes each container named on the command line from its file and prints
+# the name of the error it raises, one line each as it goes, so a decode
+# that ends the process by a signal shows which file it was.
+_HOSTILE_FILE_DECODES = """
+import sys
+from hybc.errors import HybcError
+from hybc.pipeline import decompress_pipeline
+for path in sys.argv[1:]:
+    try:
+        with open(path, "rb") as container:
+            decompress_pipeline(container, len)
+    except HybcError as exc:
+        print(type(exc).__name__, flush=True)
+    else:
+        print("decoded", flush=True)
+"""
+
+
+def test_a_damaged_lz4hc_file_is_refused_in_place(tmp_path, small_corpus):
+    # liblz4 decodes a block in place with no bounds of its own past the two
+    # regions it is given, so a damaged block, whose output may overrun the
+    # bytes it has yet to read, must still end in a refusal, not a signal
+    text = _half_noise(1 << 20, small_corpus, 9)
+    valid = compress_pipeline(PipelineSpec(CodecId.LZ4HC), text)
+    block = HEADER_LEN + 8
+    hostile = {}
+    for offset in sorted(random.Random(9).sample(range(block, len(valid)), 12)) + [block, len(valid) - 1]:
+        for flip in (0x01, 0xFF):
+            damaged = bytearray(valid)
+            damaged[offset] ^= flip
+            hostile[f"flipped {flip:#04x} at {offset}"] = damaged
+    hostile["cut to a tenth"] = _lz4_block_cut_to_a_tenth(valid)
+    overstated = bytearray(valid)
+    struct.pack_into("<Q", overstated, HEADER_LEN, len(text) + 1)
+    hostile["prefix past the header's length"] = overstated
+    paths = []
+    for i, blob in enumerate(hostile.values()):
+        paths.append(tmp_path / f"{i}.hybc")
+        paths[-1].write_bytes(blob)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOSTILE_FILE_DECODES, *map(str, paths)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    verdicts = dict(zip(hostile, proc.stdout.splitlines()))
+    assert proc.returncode == 0, (proc.returncode, proc.stderr, verdicts)
+    assert len(verdicts) == len(hostile)
+    for kind, verdict in verdicts.items():
+        assert verdict in ("CorruptStream", "IntegrityMismatch"), (kind, verdict)
+    assert verdicts["cut to a tenth"] == verdicts["prefix past the header's length"] == "CorruptStream"
 
 
 @pytest.mark.parametrize("spec", enumerate_pipelines(), ids=lambda s: s.display_name)
@@ -879,6 +976,28 @@ def test_a_file_decodes_in_a_window(codec, tmp_path, large_text):
         lengths.append(len(container))
     assert lengths[1] - lengths[0] > (4 << 20) // scale, lengths
     assert grown[1] - grown[0] < (2 << 20) // scale, f"peak RSS grew by {grown} B"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_an_lz4hc_file_decodes_in_place(tmp_path, large_text):
+    # an LZ4HC block, which liblz4 decodes whole, is read from the file into
+    # the end of the buffer it decodes to, so the peak RSS grows by the text
+    # and the buffer's margin (1/256 of it), where holding the payload beside
+    # the text would add its 7 MiB
+    text = _half_noise(12 << 20, large_text, 12)
+    container = compress_pipeline(PipelineSpec(CodecId.LZ4HC), text)
+    assert len(container) > 6 << 20
+    path = tmp_path / "text.hybc"
+    path.write_bytes(container)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FILE_DECODE_PEAK, str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sent, grown_kib = map(int, proc.stdout.split())
+    assert sent == len(text)
+    assert grown_kib << 10 < len(text) + (1 << 20), f"peak RSS grew by {grown_kib} KiB"
 
 
 class _Container(bytearray):
