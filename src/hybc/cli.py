@@ -62,68 +62,82 @@ def _writer(file, path: str):
 
 
 class _Staged:
-    """A file with no name in the directory of path, open "w+b" as `file`.
-    Where the system and file system take one (Linux's O_TMPFILE), link()
-    names it path, so a new path appears whole or not at all; elsewhere
-    `file` is a tempfile.TemporaryFile, which link() never names, or, with
-    fallback false, None. Its mode is 0o666 less the umask, as
-    open(path, "wb") gives."""
+    """A file with no name, open "w+b" as `file`, whose bytes put() makes
+    path's. Where the system and path's directory take one (Linux's
+    O_TMPFILE), the file is made in that directory and put() links a new path
+    in, so it appears whole or not at all, with the mode open(path, "wb")
+    gives; elsewhere it is a tempfile.TemporaryFile in the system's temporary
+    directory. put() copies into an existing path in place, and into a new
+    one it cannot link. A missing directory fails when the file is made,
+    where the system has O_TMPFILE and O_PATH."""
 
-    def __init__(self, path: str, fallback: bool = True):
-        directory = Path(path).parent
+    def __init__(self, path: str):
+        self._path = path
         # A path ending in a separator has no basename, and so is never linked.
         self._name = os.path.basename(path)
         self._dir = None
         self.file = None
         unnamed, dir_path = getattr(os, "O_TMPFILE", None), getattr(os, "O_PATH", None)
         if unnamed is not None and dir_path is not None:
-            self._dir = os.open(directory, dir_path | os.O_DIRECTORY)
+            self._dir = os.open(Path(path).parent, dir_path | os.O_DIRECTORY)
             try:
                 self.file = open(os.open(".", unnamed | os.O_RDWR, 0o666, dir_fd=self._dir), "w+b")
             except OSError:
                 os.close(self._dir)
                 self._dir = None
-        if self.file is None and fallback:
-            self.file = tempfile.TemporaryFile(dir=directory)
+        if self.file is None:
+            self.file = tempfile.TemporaryFile()
 
     def __enter__(self) -> _Staged:
         return self
 
     def __exit__(self, *exc_info) -> None:
         try:
-            if self.file is not None:
-                self.file.close()
+            self.file.close()
         finally:
             if self._dir is not None:
                 os.close(self._dir)
 
-    def link(self) -> bool:
-        """Name the file path; False where it cannot be, as where path exists."""
-        if self._dir is None:
-            return False
+    def put(self) -> None:
+        """Link the file in as path; where it cannot be, as where path exists,
+        copy it into path in place (a failed copy leaves path partial)."""
         self.file.flush()
-        try:
-            # linkat(2) with AT_SYMLINK_FOLLOW, which a dir fd makes os.link
-            # use: link(2) refuses /proc's link to the file with EXDEV.
-            os.link(f"/proc/self/fd/{self.file.fileno()}", self._name, dst_dir_fd=self._dir)
-        except OSError:
-            return False
-        return True
+        if self._dir is not None:
+            try:
+                # linkat(2) with AT_SYMLINK_FOLLOW, which a dir fd makes os.link
+                # use: link(2) refuses /proc's link to the file with EXDEV.
+                os.link(f"/proc/self/fd/{self.file.fileno()}", self._name, dst_dir_fd=self._dir)
+                return
+            except OSError:
+                pass  # path exists, or the link cannot be made: copy
+        self.file.seek(0)
+        with open(self._path, "wb") as out:
+            shutil.copyfileobj(self.file, out)
 
 
-def _write_new(path: str, data: bytes) -> bool:
-    """Write data to a file with no name and link it in as path; False, with
-    nothing written, where the directory takes no such file, and False where
-    path exists by the time of the link."""
+def _run(input_path: str, output_path: str, pipeline, describe):
+    """Both commands' body: pipeline(INPUT open, a write into a _Staged file
+    for OUTPUT), whose result it returns once the staged bytes are put at
+    OUTPUT. INPUT stays open until then, so INPUT may be OUTPUT, and a failure
+    before then leaves OUTPUT as it was. A failed read is INPUT's, a failed
+    write OUTPUT's, and a HybcError is reported as describe(exc)."""
     try:
-        staged = _Staged(path, fallback=False)
-    except OSError:
-        return False
-    with staged:
-        if staged.file is None:
-            return False
-        staged.file.write(data)
-        return staged.link()
+        source = open(input_path, "rb")
+    except OSError as exc:
+        raise click.ClickException(f"cannot read {input_path}: {exc}") from exc
+    with source:
+        try:
+            with _Staged(output_path) as staged:
+                try:
+                    result = pipeline(source, _writer(staged.file, output_path))
+                except OSError as exc:
+                    raise click.ClickException(f"cannot read {input_path}: {exc}") from exc
+                except HybcError as exc:
+                    raise click.ClickException(describe(exc)) from exc
+                staged.put()
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
+    return result
 
 
 class _Group(click.Group):
@@ -159,21 +173,13 @@ def main() -> None:
 def compress(input_path: str, output_path: str, pipeline_name: str) -> None:
     """Compress INPUT into a self-describing container at OUTPUT."""
     spec = _parse_pipeline(pipeline_name)
-    # INPUT is closed, and OUTPUT written, only once the container is complete,
-    # so INPUT may be OUTPUT and a failure before then leaves OUTPUT as it was.
-    # A new OUTPUT is linked in whole; an existing one is written in place.
-    try:
-        with open(input_path, "rb") as text:
-            container = compress_pipeline(spec, text)
-    except OSError as exc:
-        raise click.ClickException(f"cannot read {input_path}: {exc}") from exc
-    except HybcError as exc:
-        raise click.ClickException(str(exc)) from exc
-    try:
-        if os.path.lexists(output_path) or not _write_new(output_path, container):
-            Path(output_path).write_bytes(container)
-    except OSError as exc:
-        raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
+
+    def encode(text, write) -> bytes:
+        container = compress_pipeline(spec, text)
+        write(container)
+        return container
+
+    container = _run(input_path, output_path, encode, str)
     original = parse_header(container).original_len
     click.echo(f"pipeline:   {spec.display_name}")
     click.echo(f"original:   {original} bytes")
@@ -187,32 +193,10 @@ def compress(input_path: str, output_path: str, pipeline_name: str) -> None:
 def decompress(input_path: str, output_path: str) -> None:
     """Restore the original bytes from a container; the header alone names
     the codec chain, so no pipeline argument is needed."""
-    # INPUT is read as its payload is decoded, and the text staged in an
-    # unnamed file beside OUTPUT, so only the codecs' windows are held in
-    # memory. The text is put at OUTPUT once it is verified and INPUT is read
-    # to its end, so INPUT may be OUTPUT and a failure before then leaves
-    # OUTPUT as it was: a new OUTPUT is the staged file linked in, an existing
-    # one is copied into (a failed copy, partial). A failed read is INPUT's,
-    # a failed write OUTPUT's.
-    try:
-        container = open(input_path, "rb")
-    except OSError as exc:
-        raise click.ClickException(f"cannot read {input_path}: {exc}") from exc
-    with container:
-        try:
-            with _Staged(output_path) as staged:
-                try:
-                    restored = decompress_pipeline(container, _writer(staged.file, output_path))
-                except OSError as exc:
-                    raise click.ClickException(f"cannot read {input_path}: {exc}") from exc
-                except HybcError as exc:
-                    raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
-                if not staged.link():
-                    staged.file.seek(0)
-                    with open(output_path, "wb") as out:
-                        shutil.copyfileobj(staged.file, out)
-        except OSError as exc:
-            raise click.ClickException(f"cannot write {output_path}: {exc}") from exc
+    # The text is staged as the payload is read and decoded, so only the
+    # codecs' windows are held in memory.
+    restored = _run(input_path, output_path, decompress_pipeline,
+                    lambda exc: f"{type(exc).__name__}: {exc}")
     click.echo(f"restored {restored} bytes (integrity verified)")
 
 

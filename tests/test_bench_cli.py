@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import zlib
@@ -937,22 +938,6 @@ def test_cli_decompress_closes_what_it_opens(tmp_path, tiny_text):
     assert output.read_bytes() == tiny_text
 
 
-def test_cli_decompress_output_directory_must_take_a_new_file(monkeypatch, runner, tmp_path,
-                                                           tiny_text):
-    # the text is staged in OUTPUT's directory, so a directory that takes no
-    # new file fails the command before anything is decoded
-    decodes = []
-    monkeypatch.setattr(cli_mod, "decompress_pipeline", lambda *args: decodes.append(args))
-    container = tmp_path / "in.hybc"
-    container.write_bytes(compress_pipeline(PipelineSpec(CodecId.ZSTD), tiny_text))
-    output = tmp_path / "missing" / "o"
-    result = runner.invoke(main, ["decompress", str(container), str(output)])
-    assert result.exit_code == 1
-    assert result.output.startswith(f"Error: cannot write {output}: ")
-    assert len(result.output.splitlines()) == 1
-    assert decodes == []
-
-
 @_HOSTILE
 def test_cli_decompress_failure_leaves_no_new_output(runner, tmp_path, tiny_text,
                                                      spec, hostile, error):
@@ -969,7 +954,8 @@ def test_cli_decompress_failure_leaves_no_new_output(runner, tmp_path, tiny_text
 
 
 def _staged_inodes(monkeypatch) -> list[int]:
-    """The inode of each file `hybc decompress` stages its text in."""
+    """The inode of each file `hybc compress` or `hybc decompress` stages
+    OUTPUT's bytes in."""
     inodes = []
     real = cli_mod._writer
 
@@ -984,9 +970,9 @@ def _staged_inodes(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_cli_new_output_is_the_staged_file_linked_in(monkeypatch, runner, tmp_path, tiny_text,
                                                      umask):
-    """A new OUTPUT is the verified staged file given a name, not a copy of it:
-    same inode, one link, and the mode open(OUTPUT, "wb") would give it.
-    `hybc compress` gives a new OUTPUT the same mode."""
+    """A new OUTPUT of either command is its staged file given a name, not a
+    copy of it: same inode, one link, and the mode open(OUTPUT, "wb") would
+    give it."""
     inodes = _staged_inodes(monkeypatch)
     src, packed, restored = tmp_path / "in.txt", tmp_path / "o.hybc", tmp_path / "o.txt"
     src.write_bytes(tiny_text)
@@ -999,10 +985,9 @@ def test_cli_new_output_is_the_staged_file_linked_in(monkeypatch, runner, tmp_pa
     assert result.exit_code == 0, result.output
     assert restored.read_bytes() == tiny_text
     assert packed.read_bytes() == compress_pipeline(_ZSTD, tiny_text)
-    stat = restored.stat()
-    assert [stat.st_ino] == inodes
-    assert stat.st_nlink == 1
+    assert [packed.stat().st_ino, restored.stat().st_ino] == inodes
     for path in (packed, restored):
+        assert path.stat().st_nlink == 1, path
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "o.hybc", "o.txt"]
 
@@ -1057,8 +1042,9 @@ def test_cli_new_output_falls_back_where_it_cannot_be_linked(monkeypatch, runner
     """Where the file system refuses an unnamed file, the link to it fails
     (ENOENT: no /proc), or the system has no O_TMPFILE and O_PATH (they are
     Linux's), both commands still write OUTPUT, and leave no other name
-    beside it. `hybc decompress` then stages in a TemporaryFile; `hybc
-    compress` stages nothing and writes OUTPUT in place."""
+    beside it. Both then stage in a TemporaryFile in the system's temporary
+    directory, never in OUTPUT's, and copy it into OUTPUT; where only the
+    link fails, they copy the unnamed file."""
     real_open = os.open
 
     def no_tmpfile(path, flags, *args, **kwargs):
@@ -1096,24 +1082,113 @@ def test_cli_new_output_falls_back_where_it_cannot_be_linked(monkeypatch, runner
     out_dir.mkdir()
     packed, restored = out_dir / "o.hybc", out_dir / "o.txt"
     assert runner.invoke(main, ["compress", "-p", "Zstd", str(src), str(packed)]).exit_code == 0
-    assert temporary_files == []
     result = runner.invoke(main, ["decompress", str(packed), str(restored)])
     assert result.exit_code == 0, result.output
-    assert len(temporary_files) == (refused != "link")
+    assert temporary_files == ([] if refused == "link" else [{}, {}])
     assert packed.read_bytes() == compress_pipeline(_ZSTD, tiny_text)
     assert restored.read_bytes() == tiny_text
     assert sorted(p.name for p in out_dir.iterdir()) == ["o.hybc", "o.txt"]
 
 
-def test_cli_compress_output_in_a_missing_directory_fails_cleanly(runner, tmp_path, tiny_text):
-    # no unnamed file can be made there, so OUTPUT is opened in place, which
-    # names the error as it always has
-    src, output = tmp_path / "in.txt", tmp_path / "missing" / "o.hybc"
-    src.write_bytes(tiny_text)
-    result = runner.invoke(main, ["compress", "-p", "Zstd", str(src), str(output)])
+def _refuse_new_files(monkeypatch, directory: Path) -> None:
+    """Make directory take no new file, as a 0555 directory does for a user
+    other than root: an unnamed file opened there, a TemporaryFile made there
+    and a new name hybc.cli opens for writing there fail with EACCES."""
+    real_os_open, real_temporary_file = os.open, tempfile.TemporaryFile
+    there = directory.stat()
+
+    def denied(name) -> PermissionError:
+        return PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(name))
+
+    def no_unnamed(path, flags, *args, dir_fd=None, **kwargs):
+        if flags & os.O_TMPFILE == os.O_TMPFILE and os.path.samestat(
+                os.stat(path, dir_fd=dir_fd), there):
+            raise denied(path)
+        return real_os_open(path, flags, *args, dir_fd=dir_fd, **kwargs)
+
+    def no_temporary_file(*args, dir=None, **kwargs):
+        if dir is not None and os.path.samestat(os.stat(dir), there):
+            raise denied(Path(dir) / "tmpzqzt39wf")
+        return real_temporary_file(*args, dir=dir, **kwargs)
+
+    def no_new_name(file, mode="r", *args, **kwargs):
+        if (isinstance(file, (str, os.PathLike)) and "w" in mode and not os.path.lexists(file)
+                and os.path.samestat(os.stat(Path(file).absolute().parent), there)):
+            raise denied(file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", no_unnamed)
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_temporary_file)
+    monkeypatch.setattr(cli_mod, "open", no_new_name, raising=False)
+
+
+def _command_args(tmp_path: Path, text: bytes, command: str) -> tuple[list[str], bytes]:
+    """The arguments, but OUTPUT, that run command on an INPUT made from text
+    (a Zstd container of it for decompress); the bytes it puts at OUTPUT."""
+    container = compress_pipeline(_ZSTD, text)
+    if command == "compress":
+        source = tmp_path / "in.txt"
+        source.write_bytes(text)
+        return ["compress", "-p", "Zstd", str(source)], container
+    source = tmp_path / "in.hybc"
+    source.write_bytes(container)
+    return ["decompress", str(source)], text
+
+
+_COMMANDS = pytest.mark.parametrize("command", ["compress", "decompress"])
+
+
+@_COMMANDS
+def test_cli_output_directory_that_takes_no_new_file(monkeypatch, runner, tmp_path, tiny_text,
+                                                     command):
+    """Where OUTPUT's directory takes no new file, an existing OUTPUT is still
+    written in place, keeping its inode, since the bytes are staged in the
+    system's temporary directory; a new OUTPUT fails naming itself, not a
+    staged file, and nothing is left beside it."""
+    argv, expected = _command_args(tmp_path, tiny_text, command)
+    out_dir = tmp_path / "ro"
+    out_dir.mkdir()
+    existing, new = out_dir / "existing", out_dir / "new"
+    existing.write_bytes(b"old")
+    inode = existing.stat().st_ino
+    _refuse_new_files(monkeypatch, out_dir)
+    result = runner.invoke(main, [*argv, str(existing)])
+    assert result.exit_code == 0, result.output
+    assert existing.read_bytes() == expected
+    assert existing.stat().st_ino == inode
+    result = runner.invoke(main, [*argv, str(new)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: cannot write {new}: [Errno 13] Permission denied: '{new}'\n"
+    assert [p.name for p in out_dir.iterdir()] == ["existing"]
+
+
+@_COMMANDS
+def test_cli_output_can_be_dev_null(tmp_path, tiny_text, command):
+    """OUTPUT may be /dev/null, which exists in a directory only root may add
+    to: the bytes are copied into it."""
+    argv, _ = _command_args(tmp_path, tiny_text, command)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybc", *argv, "/dev/null"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@_COMMANDS
+def test_cli_output_in_a_missing_directory_fails_cleanly(monkeypatch, runner, tmp_path,
+                                                         tiny_text, command):
+    # OUTPUT's unnamed file is made in its directory before the pipeline runs,
+    # so a missing directory fails the command first, naming that directory
+    calls = []
+    monkeypatch.setattr(cli_mod, f"{command}_pipeline", lambda *args: calls.append(args))
+    argv, _ = _command_args(tmp_path, tiny_text, command)
+    output = tmp_path / "missing" / "o"
+    result = runner.invoke(main, [*argv, str(output)])
     assert result.exit_code == 1
     assert result.output == (
-        f"Error: cannot write {output}: [Errno 2] No such file or directory: '{output}'\n")
+        f"Error: cannot write {output}: [Errno 2] No such file or directory: '{output.parent}'\n")
+    assert calls == []
 
 
 _FILE_SIZE_LIMITED = """
@@ -1127,45 +1202,25 @@ run()
 """
 
 
-def test_cli_compress_failed_write_leaves_no_new_output(tmp_path, small_corpus):
-    """With files capped at 4096 bytes, a container too long to write makes
-    `hybc compress` exit 1: a new OUTPUT, written unnamed, is never linked in;
-    an existing one, written in place, is left partial."""
+@_COMMANDS
+def test_cli_failed_write_is_outputs(tmp_path, small_corpus, command):
+    """With files capped at 4096 bytes, bytes too long to stage make the
+    command exit 1 naming OUTPUT, though `hybc decompress` reads INPUT as it
+    writes them: a new OUTPUT is never linked in, and an existing one is left
+    as it was."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    text = tmp_path / "in.txt"
-    text.write_bytes(small_corpus)
-    assert len(compress_pipeline(_ZSTD, small_corpus)) > 4096
-    existing = tmp_path / "existing.hybc"
-    existing.write_bytes(b"partial")
-    for output in (tmp_path / "new.hybc", existing):
-        proc = subprocess.run(
-            [sys.executable, "-c", _FILE_SIZE_LIMITED, "compress", "-p", "Zstd", str(text),
-             str(output)],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        )
-        assert proc.returncode == 1, proc.stderr
-        assert proc.stderr.startswith(f"Error: cannot write {output}: [Errno 27] "), proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.hybc", "in.txt"]
-    assert existing.stat().st_size == 4096
-
-
-def test_cli_decompress_failed_write_is_outputs(tmp_path, small_corpus):
-    """With files capped at 4096 bytes, a text too long to stage makes `hybc
-    decompress` exit 1 naming OUTPUT, though INPUT is read as the text is
-    written, and OUTPUT is left as it was."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    container = tmp_path / "in.hybc"
-    container.write_bytes(compress_pipeline(_ZSTD, small_corpus))
+    argv, expected = _command_args(tmp_path, small_corpus, command)
+    assert len(expected) > 4096
     existing = tmp_path / "existing"
     existing.write_bytes(b"kept")
     for output in (tmp_path / "new", existing):
         proc = subprocess.run(
-            [sys.executable, "-c", _FILE_SIZE_LIMITED, "decompress", str(container), str(output)],
+            [sys.executable, "-c", _FILE_SIZE_LIMITED, *argv, str(output)],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith(f"Error: cannot write {output}: [Errno 27] "), proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "in.hybc"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["existing", Path(argv[-1]).name])
     assert existing.read_bytes() == b"kept"
 
 

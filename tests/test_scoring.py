@@ -156,6 +156,15 @@ def test_rank_reference_cohort():
     assert ranked[0].size_class == "Large"
 
 
+@pytest.mark.parametrize("dropped", [name for name, *_ in REFERENCE_LARGE_COHORT[1:]])
+def test_rank_reference_leader_survives_any_drop(dropped):
+    """Dropping any one other chain from the published cohort, and with it
+    the column ends it set, leaves Zstd + LZ4HC first."""
+    rows = [measurement_from_metrics(*entry) for entry in REFERENCE_LARGE_COHORT
+            if entry[0] != dropped]
+    assert rank_pipelines(rows)[0].pipeline.display_name == "Zstd + LZ4HC"
+
+
 def test_rank_requires_at_least_two_rows():
     with pytest.raises(ValueError):
         rank_pipelines([measurement_from_metrics("Zstd", 2.0, 10.0, 10.0)])
